@@ -63,8 +63,8 @@ class EventQueue:
 
     def schedule(self, delay: float, action: tuple) -> int:
         """Enqueue ``action`` at ``now + delay`` and return its seq number."""
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule into the past (delay={delay})")
+        if not delay >= 0:  # also rejects nan, which would break heap order
+            raise SchedulingError(f"delay must be a number >= 0, got {delay}")
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, Event(self.now + delay, seq, action))

@@ -90,16 +90,22 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if cfg.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if cfg.probe_start_s < 0:
-            raise ConfigError("probe_start_s must be >= 0")
-        if cfg.probe_interval_s <= 0:
-            raise ConfigError("probe_interval_s must be positive")
-        if not 0 <= cfg.update_min_s <= cfg.update_max_s:
-            raise ConfigError("need 0 <= update_min_s <= update_max_s")
-        if cfg.duration_s <= cfg.probe_start_s:
-            raise ConfigError("duration_s must exceed probe_start_s")
-        if cfg.load_window_s <= 0:
-            raise ConfigError("load_window_s must be positive")
+        # chained comparisons against inf also reject nan, which compares false
+        if not 0 <= cfg.probe_start_s < math.inf:
+            raise ConfigError(f"probe_start_s must be >= 0 and finite, got {cfg.probe_start_s}")
+        if not 0 < cfg.probe_interval_s < math.inf:
+            raise ConfigError(
+                f"probe_interval_s must be positive and finite, got {cfg.probe_interval_s}")
+        if not 0 <= cfg.update_min_s <= cfg.update_max_s < math.inf:
+            raise ConfigError("need 0 <= update_min_s <= update_max_s, both finite")
+        if cfg.update_max_s == 0:
+            # zero-delay updates would repeat at t=0 forever
+            raise ConfigError("update_max_s must be positive")
+        if not cfg.probe_start_s < cfg.duration_s < math.inf:
+            raise ConfigError(
+                f"duration_s must be finite and exceed probe_start_s, got {cfg.duration_s}")
+        if not 0 < cfg.load_window_s < math.inf:
+            raise ConfigError(f"load_window_s must be positive and finite, got {cfg.load_window_s}")
         return cfg
 
     def fingerprint(self) -> str:

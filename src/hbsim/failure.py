@@ -37,10 +37,10 @@ class FailureConfig:
     repair_policy: str = TOGGLE_REPAIR
 
     def validate(self) -> None:
-        if self.rate_pct_per_min < 0:
-            raise ValueError("failure rate must be >= 0")
-        if self.gamma_shape <= 0:
-            raise ValueError("gamma_shape must be positive")
+        if not 0 <= self.rate_pct_per_min < math.inf:
+            raise ValueError(f"failure rate must be >= 0 and finite, got {self.rate_pct_per_min}")
+        if not 0 < self.gamma_shape < math.inf:
+            raise ValueError(f"gamma_shape must be positive and finite, got {self.gamma_shape}")
         if self.repair_policy not in REPAIR_POLICIES:
             raise ValueError(f"unknown repair policy {self.repair_policy!r}")
 

@@ -49,8 +49,8 @@ class ProtocolConfig:
     def validate(self, n: int) -> None:
         if self.kind not in PROTOCOL_KINDS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
-        if self.staleness_s <= 0:
-            raise ValueError("staleness_s must be positive")
+        if not 0 < self.staleness_s < math.inf:
+            raise ValueError(f"staleness_s must be positive and finite, got {self.staleness_s}")
         if self.kind == CENTRAL and not 1 <= self.provider_count <= n:
             raise ValueError(f"provider_count must be in [1, {n}]")
         if self.kind == HIERARCHICAL and self.hierarchy_levels < 2:
@@ -398,18 +398,47 @@ def poll_subscriptions(dc: DataCenter, node: int, cfg: ProtocolConfig,
 
 def _build_overlap_pairs(dc: DataCenter) -> list[list[tuple[tuple[int, int], ...] | None]]:
     """pairs[i][s]: for target b = subs[i][s], the (slot_in_b, slot_in_i)
-    index pairs of subscriptions shared by i and b.  Static per topology;
-    this is what makes piggyback relay O(overlap) instead of O(k)."""
-    pairs = []
+    index pairs of subscriptions shared by i and b, in ascending slot_in_i
+    order, or None when they share none.  Static per topology; this is what
+    makes piggyback relay O(overlap) instead of O(k).
+
+    Cost: each node's subscriptions become an n-bit int mask, so the
+    shared targets of an edge i->b are one C-level AND over the masks'
+    n/30 30-bit digits, and only the set bits of the result are walked in
+    Python.  For n nodes with k subscriptions each that is n*k ANDs plus
+    work linear in the output (about k**3 pairs in all on a uniform random
+    topology), instead of n*k*k interpreted dict probes.  Every pair tuple
+    is shared from one k x k table, so the result allocates no per-pair
+    objects.
+    """
     subs = dc.subs
     sub_slot = dc.sub_slot
-    for i in range(dc.n):
-        subs_i = subs[i]
+    masks = []
+    for row in subs:
+        mask = 0
+        for t in row:
+            mask |= 1 << t
+        masks.append(mask)
+    k = max(map(len, subs), default=0)
+    slot_pairs = [[(j, m) for m in range(k)] for j in range(k)]
+    pairs = []
+    for i, subs_i in enumerate(subs):
+        mask_i = masks[i]
+        slots_i = sub_slot[i]
         row = []
         for b in subs_i:
-            slots_b = sub_slot[b]
-            pl = [(slots_b[u], m) for m, u in enumerate(subs_i) if u in slots_b]
-            row.append(tuple(pl) if pl else None)
+            c = mask_i & masks[b]
+            if c:
+                slots_b = sub_slot[b]
+                pl = []
+                while c:
+                    u = c.bit_length() - 1
+                    c ^= 1 << u
+                    pl.append(slot_pairs[slots_b[u]][slots_i[u]])
+                pl.reverse()  # the walk ran from the highest node id down
+                row.append(tuple(pl))
+            else:
+                row.append(None)
         pairs.append(row)
     return pairs
 

@@ -45,6 +45,13 @@ def test_negative_delay_rejected():
         q.schedule(-0.1, ("x",))
 
 
+def test_nan_delay_rejected():
+    q = EventQueue()
+    with pytest.raises(SchedulingError):
+        q.schedule(math.nan, ("x",))
+    assert q.peek() is None
+
+
 def test_run_empty_queue_advances_clock():
     q = EventQueue()
     assert q.run(10.0, lambda ev: None) == 0

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hbsim.datacenter import build_datacenter
@@ -15,6 +17,7 @@ from hbsim.experiment import (
     run_sweep,
 )
 from hbsim.failure import FailureConfig, ScriptedFailureStream
+from hbsim.outputs import write_outputs
 from hbsim.protocols import ProtocolConfig
 
 from reference_sim import reference_run
@@ -85,6 +88,26 @@ def test_invalid_cross_field_invariants():
         ExperimentConfig(nodes=100, duration_s=1.0).normalized()   # <= probe start
     with pytest.raises(ConfigError):
         ExperimentConfig(nodes=100, update_min_s=2.0, update_max_s=1.0).normalized()
+
+
+@pytest.mark.parametrize("line", [
+    "failure_rate_pct_per_min=nan",
+    "failure_rate_pct_per_min=inf",
+    "staleness_s=nan",
+    "staleness_s=inf",
+    "gamma_shape=nan",
+    "duration_s=nan",
+    "duration_s=inf",
+    "probe_start_s=nan",
+    "probe_interval_s=nan",
+    "update_max_s=inf",
+    "load_window_s=inf",
+    # zero-delay updates would never leave t=0
+    pytest.param("update_min_s=0\nupdate_max_s=0", id="update_max_s=0"),
+])
+def test_parse_rejects_non_finite_and_stalling_values(line):
+    with pytest.raises(ConfigError):
+        parse_config(f"nodes=10\n{line}\n")
 
 
 # -- run initialisation -------------------------------------------------------
@@ -274,6 +297,29 @@ def test_run_config_parallel_equals_serial():
     parallel, sum_parallel = run_config(cfg, workers=2)
     assert serial == parallel
     assert sum_serial == sum_parallel
+
+
+# SHA-256 of each table of one pinned transitive_p2p config.  Recorded with
+# the dict-probe overlap-pair build, before the bitset build replaced it; the
+# CSV bytes are part of the package contract, so a speed-only change to the
+# engine must leave every digest as it is.
+GOLDEN_TRANSITIVE_SHA256 = {
+    "probes.csv": "3cf71dde6790ed508cba7a8372b7c212924ad759c69a5530b97d426db38bee3c",
+    "failures.csv": "19acc1fd8257b405ca996b8414981f81c98a196bd942b338e290339d26b6f577",
+    "load.csv": "304878ef421d646d32e28375d0a9e203e07ef4ba43b7cc1ea9e009e96191a916",
+    "summary.csv": "8c04ccaf6231586c842de95313c7c310fe033bb1fa7124e93249075366439a37",
+}
+
+
+def test_transitive_outputs_match_golden_bytes(tmp_path):
+    cfg = ExperimentConfig(nodes=1000, duration_s=30.0, runs=2, seed=42,
+                           protocol=ProtocolConfig(kind="transitive_p2p"),
+                           failure=FailureConfig(rate_pct_per_min=1.0))
+    outputs, summary = run_config(cfg, workers=1)
+    paths = write_outputs(outputs, summary, tmp_path)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    assert digests == GOLDEN_TRANSITIVE_SHA256
 
 
 def test_run_sweep_isolates_failing_config(monkeypatch, capsys):

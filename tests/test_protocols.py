@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbsim.datacenter import DataCenter, build_datacenter
 from hbsim.des import RngStream
@@ -8,6 +10,7 @@ from hbsim.protocols import (
     SIMPLE_P2P,
     TRANSITIVE_P2P,
     ProtocolConfig,
+    _build_overlap_pairs,
     build_global_view,
     central_poll,
     direct_poll,
@@ -386,3 +389,54 @@ def test_fast_poller_equivalent_to_poll_subscriptions(kind):
     assert fast.total_messages == reference.total_messages
     assert fast.total_payload == reference.total_payload
     assert fast.finish_load(now) == reference.finish_load(now)
+
+
+# -- overlap-pair build matches the dict-probe oracle ---------------------------
+
+
+def reference_overlap_pairs(dc):
+    """The straightforward O(n*k*k) build: probe b's slot dict for every
+    subscription of i."""
+    pairs = []
+    for i in range(dc.n):
+        subs_i = dc.subs[i]
+        row = []
+        for b in subs_i:
+            slots_b = dc.sub_slot[b]
+            pl = [(slots_b[u], m) for m, u in enumerate(subs_i) if u in slots_b]
+            row.append(tuple(pl) if pl else None)
+        pairs.append(row)
+    return pairs
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (3, 1), (12, 11), (40, 6), (500, 22)])
+def test_overlap_pairs_match_oracle_on_built_topologies(n, k):
+    dc = build_datacenter(n, k, RngStream("topology", 5))
+    assert _build_overlap_pairs(dc) == reference_overlap_pairs(dc)
+
+
+def test_overlap_pairs_match_oracle_with_unequal_rows():
+    dc = DataCenter([[1, 2, 3, 4], [0], [], [0, 1, 2], [3, 0]])
+    assert dc.k is None
+    pairs = _build_overlap_pairs(dc)
+    assert pairs == reference_overlap_pairs(dc)
+    # node 0 and node 3 share targets 1 and 2, at slots 0,1 in 0 and 1,2 in 3
+    assert pairs[0][2] == ((1, 0), (2, 1))
+    assert pairs[1] == [None]
+    assert pairs[2] == []
+
+
+@st.composite
+def topologies(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    rows = [draw(st.lists(st.sampled_from([t for t in range(n) if t != i]),
+                          unique=True, max_size=n - 1))
+            if n > 1 else []
+            for i in range(n)]
+    return DataCenter(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(topologies())
+def test_overlap_pairs_match_oracle_on_random_topologies(dc):
+    assert _build_overlap_pairs(dc) == reference_overlap_pairs(dc)
