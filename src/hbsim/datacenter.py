@@ -222,12 +222,6 @@ def build_datacenter(n: int, k: int, topology_stream: RngStream,
     """
     if k < 0 or k > n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k} n={n}")
-    subscriptions = []
-    for i in range(n):
-        chosen: set[int] = set()
-        while len(chosen) < k:
-            c = topology_stream.index(n)
-            if c != i and c not in chosen:
-                chosen.add(c)
-        subscriptions.append(sorted(chosen))
+    draw = topology_stream.distinct_indices
+    subscriptions = [draw(n, k, i) for i in range(n)]
     return DataCenter(subscriptions, k=k, load_window_s=load_window_s)

@@ -109,9 +109,9 @@ class RngStream:
     """A named, seeded random stream with pinned samplers.
 
     The only primitive consumed is ``random.Random.random()`` (stable across
-    CPython versions by documented guarantee); uniform, index, normal and
-    gamma draws are built on it here so the exact draw sequence is part of
-    this package's contract.
+    CPython versions by documented guarantee); uniform, index, distinct-index,
+    normal and gamma draws are built on it here so the exact draw sequence is
+    part of this package's contract.
     """
 
     __slots__ = ("name", "seed", "_rng")
@@ -137,6 +137,25 @@ class RngStream:
             raise ValueError(f"index needs n >= 1, got {n}")
         value = int(n * self._rng.random())
         return value if value < n else n - 1
+
+    def distinct_indices(self, n: int, k: int, exclude: int) -> list[int]:
+        """k distinct integers in [0, n) other than ``exclude``, ascending.
+
+        Rejection sampling: draws ``index(n)`` values one at a time and keeps
+        each new one, so the draw sequence is exactly that of calling
+        :meth:`index` until k distinct non-excluded values have appeared.
+        """
+        if not 0 <= k <= n - 1:
+            raise ValueError(f"need 0 <= k <= n-1, got k={k} n={n}")
+        r = self._rng.random
+        chosen = {exclude}
+        add = chosen.add
+        want = k + 1
+        while len(chosen) < want:
+            value = int(n * r())
+            add(value if value < n else n - 1)
+        chosen.discard(exclude)
+        return sorted(chosen)
 
     def _normal(self) -> float:
         # Marsaglia polar method, no spare caching (keeps draw order obvious).

@@ -104,6 +104,13 @@ class ExperimentConfig:
         if not cfg.probe_start_s < cfg.duration_s < math.inf:
             raise ConfigError(
                 f"duration_s must be finite and exceed probe_start_s, got {cfg.duration_s}")
+        # an interval that cannot advance the clock at duration_s cannot
+        # advance it at any earlier time either: the run would never end
+        for name in ("probe_interval_s", "update_max_s"):
+            if cfg.duration_s + getattr(cfg, name) == cfg.duration_s:
+                raise ConfigError(
+                    f"{name}={getattr(cfg, name)} is too small to advance the clock "
+                    f"at duration_s={cfg.duration_s}")
         if not 0 < cfg.load_window_s < math.inf:
             raise ConfigError(f"load_window_s must be positive and finite, got {cfg.load_window_s}")
         return cfg

@@ -16,8 +16,11 @@
 
 ``poll_subscriptions`` is the readable contract implementation.
 ``make_poller`` returns a per-run closure with the same observable
-behaviour, tightened for the hot simulation loop (the equivalence is
-covered by unit tests and the brute-force reference comparison).
+behaviour for each of the four kinds, tightened for the hot simulation
+loop: flat per-node rows and inlined accounting for the P2P kinds, and
+per-target cache lists with precomputed tree routes for the central and
+hierarchical kinds.  Unit tests drive both side by side and require
+identical state; the brute-force reference comparison covers the P2P kinds.
 
 Staleness convention everywhere: an entry observed at ``ob`` is fresh at
 time ``now`` iff ``now - ob <= staleness_s``; only fresh entries are
@@ -448,12 +451,21 @@ def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
 
     The returned callable poll(node, now) assumes the node is alive (the
     event dispatcher checks) and that calls arrive in nondecreasing time.
+
+    For the central and hierarchical kinds ``gv`` supplies only the layout
+    (providers, or the aggregator tree); the poller keeps its own caches,
+    which start empty as a fresh GlobalView's do, and leaves ``gv.cache``
+    and ``gv.served`` untouched.  Each provider or aggregator holds two
+    target-indexed lists (believed alive, observed at), and each aggregator
+    a third with its next hop per target, so memory is O(servers * n): about
+    0.8 MB for the 32-aggregator tree at n=1000, about 24 MB for a
+    100-aggregator tree at n=10000.
     """
     kind = cfg.kind
     if kind == CENTRAL:
-        return lambda node, now: central_poll(dc, node, cfg, gv, now)
+        return _make_central_poller(dc, cfg, gv)
     if kind == HIERARCHICAL:
-        return lambda node, now: hierarchical_poll(dc, node, cfg, gv, now)
+        return _make_hierarchical_poller(dc, cfg, gv)
     if kind == SIMPLE_P2P:
         return _make_simple_poller(dc)
     if kind == TRANSITIVE_P2P:
@@ -575,5 +587,210 @@ def _make_transitive_poller(dc: DataCenter, staleness_s: float):
                     _dc.inconsistent -= 1
                 elif entry_bad == 0:
                     _dc.inconsistent += 1
+
+    return poll
+
+
+_DIRECT = -1  # next-hop marker: the server polls the target itself
+
+
+def _make_central_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView):
+    providers = gv.providers
+    home = [providers[i % len(providers)] for i in range(dc.n)]
+    direct = [_DIRECT] * dc.n  # a provider polls every stale target itself
+    return _make_served_poller(dc, cfg, home, {p: direct for p in providers})
+
+
+def _make_hierarchical_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView):
+    # The next hop of every (aggregator, target) pair, as _serve_at_aggregator
+    # derives it: the parent outside the aggregator's range, the covering
+    # child inside a child's range, and a direct poll over the rest of the
+    # range, which is the aggregator's own leaf group.  The root's range is
+    # every node, so its parent of None never shows.
+    n = dc.n
+    routes = {}
+    for agg, children in gv.agg_children.items():
+        route = [gv.parent[agg]] * n
+        lo, hi = gv.ranges[agg]
+        route[lo:hi] = [_DIRECT] * (hi - lo)
+        for child, clo, chi in children:
+            route[clo:chi] = [child] * (chi - clo)
+        routes[agg] = route
+    return _make_served_poller(dc, cfg, gv.leaf_agg, routes)
+
+
+def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
+                        routes: dict[int, list[int]]):
+    """The poller shared by the central and hierarchical kinds.
+
+    ``home[i]`` is the provider or leaf aggregator node i asks, and
+    ``routes[s][t]`` the next hop server s sends a stale target t to, or
+    _DIRECT to poll it itself.  Outputs match central_poll and
+    hierarchical_poll exactly: staleness is tested as ``now - ob > thr``
+    like provider_serve, forwarded hops are visited in ascending id order,
+    the cap counts requests per ``int(now)`` second and local serving skips
+    it, and an observation applies unless it is older than the cached one.
+    """
+    n = dc.n
+    alive = dc.alive
+    thr = cfg.staleness_s
+    cap = cfg.max_requests_per_s
+    wl = dc._win_msgs
+    wp = dc._win_pay
+    switch = dc.switch
+    cache_alive: list = [None] * n
+    cache_obs: list = [None] * n
+    route: list = [None] * n
+    for s, r in routes.items():
+        cache_alive[s] = [False] * n
+        cache_alive[s][s] = True  # a server's own entry; serve stamps its time
+        cache_obs[s] = [-math.inf] * n  # never observed: stale at any time
+        route[s] = r
+    served_sec = [-1] * n
+    served_count = [0] * n
+
+    def admit(s, now):
+        # the per-whole-second request cap of provider_serve
+        if cap is None:
+            return True
+        sec = int(now)
+        if served_sec[s] != sec:
+            served_sec[s] = sec
+            served_count[s] = 1
+            return True
+        c = served_count[s]
+        if c >= cap:
+            return False
+        served_count[s] = c + 1
+        return True
+
+    def serve(s, targets, now, serve):
+        # Refresh server s's cache entries for targets.  Every message sent
+        # here has s at one end, so s's link count is the total count.
+        # serve reaches itself through its last argument, not its closure,
+        # so no reference cycle keeps a finished run's state alive.
+        ca = cache_alive[s]
+        co = cache_obs[s]
+        rt = route[s]
+        # A server knows its own state as of now.  Stamping it here, whether
+        # or not s is among the targets, also marks it fresh for the loop;
+        # the entry is read only after a serve of s has stamped it.
+        co[s] = now
+        # stale targets by next hop; consecutive targets mostly share one
+        direct = batch = []
+        forward = {}
+        last = _DIRECT
+        for t in targets:
+            if now - co[t] > thr:
+                hop = rt[t]
+                if hop != last:
+                    last = hop
+                    if hop == _DIRECT:
+                        batch = direct
+                    else:
+                        batch = forward.get(hop)
+                        if batch is None:
+                            batch = forward[hop] = []
+                batch.append(t)
+        m = 0
+        pay = 0
+        if forward:
+            for hop in sorted(forward):
+                batch = forward[hop]
+                if alive[hop] and admit(hop, now):
+                    serve(hop, batch, now, serve)
+                    # request and a reply carrying the batch's entries
+                    nb = len(batch)
+                    m += 2
+                    wl[hop] += 2
+                    pay += nb
+                    wp[hop] += nb
+                    hca = cache_alive[hop]
+                    hco = cache_obs[hop]
+                    for t in batch:
+                        ca[t] = hca[t]
+                        co[t] = hco[t]
+                else:
+                    # an unanswered request, then s polls the batch itself
+                    m += 1
+                    wl[hop] += 1
+                    direct += batch
+        for t in direct:
+            a = alive[t]
+            ca[t] = a
+            co[t] = now
+            x = 2 if a else 1
+            m += x
+            wl[t] += x
+        if m:
+            wl[s] += m
+            wl[switch] += m
+            dc.total_messages += m
+            if pay:
+                wp[s] += pay
+                wp[switch] += pay
+                dc.total_payload += pay
+
+    def poll(i, now, _dc=dc, _subs=dc.subs, _alive=alive, _believed=dc.believed,
+             _observed=dc.observed, _bad=dc.bad_count, _home=home, _wl=wl, _wp=wp,
+             _switch=switch):
+        subs_i = _subs[i]
+        if not subs_i:
+            return
+        _dc.advance_window(now)
+        s = _home[i]
+        k = len(subs_i)
+        if s == i:
+            serve(s, subs_i, now, serve)  # local: no cap, no network hop
+        elif _alive[s] and admit(s, now):
+            serve(s, subs_i, now, serve)
+            _wl[i] += 2
+            _wl[s] += 2
+            _wl[_switch] += 2
+            _dc.total_messages += 2
+            _wp[i] += k
+            _wp[s] += k
+            _wp[_switch] += k
+            _dc.total_payload += k
+        else:
+            # the server is dead or refuses: one unanswered request, then
+            # direct polls leave every entry true as of now
+            m = 1
+            for t in subs_i:
+                x = 2 if _alive[t] else 1
+                m += x
+                _wl[t] += x
+            _wl[s] += 1
+            _wl[i] += m
+            _wl[_switch] += m
+            _dc.total_messages += m
+            _believed[i] = [_alive[t] for t in subs_i]
+            _observed[i] = [now] * k
+            if _bad[i]:
+                _bad[i] = 0
+                _dc.inconsistent -= 1
+            return
+        # apply the served batch to the requester's row
+        ca = cache_alive[s]
+        co = cache_obs[s]
+        bel_i = _believed[i]
+        obs_i = _observed[i]
+        entry_bad = _bad[i]
+        bad = entry_bad
+        for j, t in enumerate(subs_i):
+            ob = co[t]
+            if ob >= obs_i[j]:
+                v = ca[t]
+                if bel_i[j] != v:
+                    truth = _alive[t]
+                    bad += (v != truth) - (bel_i[j] != truth)
+                    bel_i[j] = v
+                obs_i[j] = ob
+        if bad != entry_bad:
+            _bad[i] = bad
+            if bad == 0:
+                _dc.inconsistent -= 1
+            elif entry_bad == 0:
+                _dc.inconsistent += 1
 
     return poll

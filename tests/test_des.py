@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbsim.des import (
     DispatchError,
@@ -244,6 +246,42 @@ def test_index_rejects_zero():
     with pytest.raises(ValueError):
         RngStream("i", 1).index(0)
 
+
+
+def reference_distinct_indices(stream, n, k, exclude):
+    """The one-draw-at-a-time rejection loop distinct_indices replaces."""
+    chosen = set()
+    while len(chosen) < k:
+        c = stream.index(n)
+        if c != exclude and c not in chosen:
+            chosen.add(c)
+    return sorted(chosen)
+
+
+@st.composite
+def distinct_draws(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    k = draw(st.one_of(st.just(0), st.just(n - 1), st.integers(min_value=0, max_value=n - 1)))
+    return n, k, draw(st.integers(min_value=0, max_value=n - 1)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_draws())
+def test_distinct_indices_matches_index_loop(case):
+    n, k, exclude, seed = case
+    fast = RngStream("t", seed)
+    slow = RngStream("t", seed)
+    # the same values, and the stream left at the same point
+    for _ in range(3):
+        assert fast.distinct_indices(n, k, exclude) == reference_distinct_indices(slow, n, k, exclude)
+    assert fast.random() == slow.random()
+
+
+def test_distinct_indices_rejects_impossible_k():
+    with pytest.raises(ValueError):
+        RngStream("i", 1).distinct_indices(3, 3, 0)
+    with pytest.raises(ValueError):
+        RngStream("i", 1).distinct_indices(3, -1, 0)
 
 # -- tally ---------------------------------------------------------------
 

@@ -104,6 +104,10 @@ def test_invalid_cross_field_invariants():
     "load_window_s=inf",
     # zero-delay updates would never leave t=0
     pytest.param("update_min_s=0\nupdate_max_s=0", id="update_max_s=0"),
+    # intervals too small to move the clock: t + x == t re-fires at one instant
+    "probe_interval_s=1e-300",
+    pytest.param("update_min_s=0\nupdate_max_s=1e-300", id="update_max_s=1e-300"),
+    pytest.param("update_min_s=1e-300\nupdate_max_s=1e-300", id="update_min_s=update_max_s=1e-300"),
 ])
 def test_parse_rejects_non_finite_and_stalling_values(line):
     with pytest.raises(ConfigError):
@@ -311,15 +315,47 @@ GOLDEN_TRANSITIVE_SHA256 = {
 }
 
 
+# SHA-256 of each table of one pinned config per centralised kind.  Recorded
+# with the contract pollers (central_poll, hierarchical_poll), before
+# make_poller gained its fast central and hierarchical pollers.
+GOLDEN_SERVED_SHA256 = {
+    "central": {
+        "probes.csv": "c825b6f8ea46350ae91da65b13cadc6586340e46235b5a066d070099c089b52f",
+        "failures.csv": "65826cbfa3fb3cba07ab6f616105f24203d9343f3b3c9e8a4b35d3ce1f5e4b48",
+        "load.csv": "37080e07e3a22aa52bb3513d70e51b3f35afb52922ab86384122c28d5f092fb1",
+        "summary.csv": "064d88ad24733033a1cc3352f5deaa27b5e508f3944e28b29f59e4cd6eaa6d3a",
+    },
+    "hierarchical": {
+        "probes.csv": "8c15811e795d3be23d60618f06ae79a30f94488daf534048600f458e47b5b43e",
+        "failures.csv": "79dc10e222553c6253e52025c1ef59154ea239616ae1607a5f85ec2926bedb35",
+        "load.csv": "b0cece359ef1cb5f9b2762015908f230a58757492a4d8a47d632c65f65a15c0d",
+        "summary.csv": "f5ae24ea74ff99013b27f8ec78221a2fb1f1ebc429f8b892808c711a2120c298",
+    },
+}
+
+
+def table_digests(cfg, tmp_path):
+    outputs, summary = run_config(cfg, workers=1)
+    paths = write_outputs(outputs, summary, tmp_path)
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in paths.items()}
+
+
 def test_transitive_outputs_match_golden_bytes(tmp_path):
     cfg = ExperimentConfig(nodes=1000, duration_s=30.0, runs=2, seed=42,
                            protocol=ProtocolConfig(kind="transitive_p2p"),
                            failure=FailureConfig(rate_pct_per_min=1.0))
-    outputs, summary = run_config(cfg, workers=1)
-    paths = write_outputs(outputs, summary, tmp_path)
-    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for name, path in paths.items()}
-    assert digests == GOLDEN_TRANSITIVE_SHA256
+    assert table_digests(cfg, tmp_path) == GOLDEN_TRANSITIVE_SHA256
+
+
+@pytest.mark.parametrize("protocol", [
+    ProtocolConfig(kind="central", provider_count=4, max_requests_per_s=200),
+    ProtocolConfig(kind="hierarchical"),
+], ids=lambda p: p.kind)
+def test_served_outputs_match_golden_bytes(protocol, tmp_path):
+    cfg = ExperimentConfig(nodes=1000, duration_s=20.0, runs=2, seed=42, protocol=protocol,
+                           failure=FailureConfig(rate_pct_per_min=1.0))
+    assert table_digests(cfg, tmp_path) == GOLDEN_SERVED_SHA256[protocol.kind]
 
 
 def test_run_sweep_isolates_failing_config(monkeypatch, capsys):

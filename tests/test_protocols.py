@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -362,34 +365,139 @@ def test_central_requester_link_cheaper_than_simple_per_cycle():
 # -- optimized pollers match the contract implementation ----------------------
 
 
-@pytest.mark.parametrize("kind", [SIMPLE_P2P, TRANSITIVE_P2P])
-def test_fast_poller_equivalent_to_poll_subscriptions(kind):
-    stream = RngStream("topology", 21)
-    reference = build_datacenter(25, 4, stream, load_window_s=5.0)
-    fast = DataCenter([list(r) for r in reference.subs], k=4, load_window_s=5.0)
-    cfg = ProtocolConfig(kind=kind)
-    poller = make_poller(fast, cfg, None)
+def contract_and_fast(subs, cfg, load_window_s=10.0):
+    """Two data centres on one topology, each with its own global view: one
+    polled by poll_subscriptions, one by make_poller's poller.  Returns
+    [(dc, poll(node, now))] for both."""
+    n = len(subs)
+    served = cfg.kind in (CENTRAL, HIERARCHICAL)
+    contract = DataCenter(subs, load_window_s=load_window_s)
+    gv = build_global_view(n, cfg) if served else None
+    fast = DataCenter(subs, load_window_s=load_window_s)
+    poller = make_poller(fast, cfg, build_global_view(n, cfg) if served else None)
+    return [(contract, lambda node, now: poll_subscriptions(contract, node, cfg, gv, now)),
+            (fast, poller)]
 
-    drive = RngStream("drive", 77)
+
+def assert_fast_poller_matches_contract(subs, cfg, steps, seed):
+    """Drive both sides of contract_and_fast through one random script of
+    polls and liveness flips, and require the same state after every step
+    and the same load log at the end."""
+    n = len(subs)
+    (reference, contract_poll), (fast, poller) = contract_and_fast(subs, cfg, 5.0)
+    layout = build_global_view(n, cfg) if cfg.kind in (CENTRAL, HIERARCHICAL) else None
+    servers = (layout.providers or sorted(layout.agg_children)) if layout else []
+
+    drive = RngStream("drive", seed)
     now = 0.0
-    for step in range(400):
+    for _ in range(steps):
         now += drive.uniform(0.0, 0.2)
         if drive.index(10) == 0:
-            victim = drive.index(25)
+            # half the flips hit a provider or aggregator
+            pool = servers if servers and drive.index(2) == 0 else range(n)
+            victim = pool[drive.index(len(pool))]
             reference.set_liveness(victim, not reference.alive[victim])
             fast.set_liveness(victim, not fast.alive[victim])
-        node = drive.index(25)
-        poll_subscriptions(reference, node, cfg, None, now)
+        node = drive.index(n)
+        contract_poll(node, now)            # a dead node's poll is a no-op
         if fast.alive[node]:
             poller(node, now)
-        assert fast.count_inconsistent_nodes() == reference.count_inconsistent_nodes()
-
-    assert fast.believed == reference.believed
-    assert fast.observed == reference.observed
-    assert fast.total_messages == reference.total_messages
-    assert fast.total_payload == reference.total_payload
+        assert fast.believed == reference.believed
+        assert fast.observed == reference.observed
+        assert fast.bad_count == reference.bad_count
+        assert fast.inconsistent == reference.inconsistent
+        assert fast.total_messages == reference.total_messages
+        assert fast.total_payload == reference.total_payload
     assert fast.finish_load(now) == reference.finish_load(now)
 
+
+# a cap of 2 requests per second makes servers refuse, so requesters fall back
+FAST_POLLER_CASES = [
+    pytest.param(ProtocolConfig(kind=SIMPLE_P2P), id=SIMPLE_P2P),
+    pytest.param(ProtocolConfig(kind=TRANSITIVE_P2P), id=TRANSITIVE_P2P),
+    *(pytest.param(ProtocolConfig(kind=CENTRAL, provider_count=p, max_requests_per_s=cap),
+                   id=f"{CENTRAL}-providers{p}-cap{cap}")
+      for p in (1, 3) for cap in (None, 2)),
+    *(pytest.param(ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=levels,
+                                  max_requests_per_s=cap),
+                   id=f"{HIERARCHICAL}-levels{levels}-cap{cap}")
+      for levels in (2, 3) for cap in (None, 2)),
+]
+
+
+@pytest.mark.parametrize("cfg", FAST_POLLER_CASES)
+def test_fast_poller_equivalent_to_poll_subscriptions(cfg):
+    topology = build_datacenter(25, 4, RngStream("topology", 21))
+    assert_fast_poller_matches_contract(topology.subs, cfg, steps=400, seed=77)
+
+
+# node 2 subscribes to nothing; 0, 3 and 6 are the aggregators of the
+# two-level tree and the first providers, and some rows watch them
+UNEQUAL_ROWS = [[3, 7], [0, 2, 5, 8], [], [1, 6], [0, 3, 6], [4],
+                [0, 1, 2, 3, 4, 5, 7, 8], [6], [2, 7]]
+
+
+EDGE_CASES = [pytest.param(subs, case.values[0], id=f"{name}-{case.id}")
+              for name, subs in (("n1", [[]]), ("unequal_rows", UNEQUAL_ROWS))
+              for case in FAST_POLLER_CASES
+              if case.values[0].provider_count <= len(subs)]
+
+
+@pytest.mark.parametrize("subs, cfg", EDGE_CASES)
+def test_fast_poller_equivalent_on_edge_topologies(subs, cfg):
+    assert_fast_poller_matches_contract(subs, cfg, steps=300, seed=5)
+
+
+@pytest.mark.parametrize("kind", [CENTRAL, HIERARCHICAL])
+def test_served_pollers_test_staleness_as_now_minus_observed(kind):
+    # 1.1 - 0.1 == 1.0 is fresh at a 1 s threshold, though 0.1 < 1.1 - 1.0
+    subs = [[] for _ in range(9)]
+    subs[1] = [2]                           # server 0 polls 2 itself
+    for dc, poll in contract_and_fast(subs, ProtocolConfig(kind=kind)):
+        poll(1, 0.1)
+        poll(1, 1.1)
+        # 4 messages to fill the server's cache, then 2 served from it
+        assert dc.total_messages == 6
+        assert dc.observed[1] == [0.1]
+
+
+@pytest.mark.parametrize("kind", [CENTRAL, HIERARCHICAL])
+def test_served_pollers_apply_an_observation_on_a_tie(kind):
+    # all at t=1: node 1 sees 7 alive first hand while its server 0 is down;
+    # then 0 returns, 7 dies, and node 2's poll caches "7 dead" at 0 with
+    # the same observation time, which node 1's next poll must take
+    subs = [[] for _ in range(9)]
+    subs[1] = [7]
+    subs[2] = [7]
+    for dc, poll in contract_and_fast(subs, ProtocolConfig(kind=kind)):
+        dc.set_liveness(0, False)
+        poll(1, 1.0)
+        assert dc.believed[1] == [True]
+        dc.set_liveness(0, True)
+        dc.set_liveness(7, False)
+        poll(2, 1.0)
+        poll(1, 1.0)
+        assert dc.believed[1] == [False]
+        assert dc.inconsistent == 0
+
+
+
+@pytest.mark.parametrize("kind", [CENTRAL, HIERARCHICAL, SIMPLE_P2P, TRANSITIVE_P2P])
+def test_poller_holds_no_reference_cycle(kind):
+    # a cycle through the poller would keep each finished run's whole state
+    # alive until the cyclic collector next runs
+    dc = build_datacenter(30, 5, RngStream("topology", 2))
+    cfg = ProtocolConfig(kind=kind)
+    gv = build_global_view(30, cfg) if kind in (CENTRAL, HIERARCHICAL) else None
+    poller = make_poller(dc, cfg, gv)
+    poller(5, 1.0)
+    ref = weakref.ref(dc)
+    gc.disable()
+    try:
+        del dc, poller, gv
+        assert ref() is None
+    finally:
+        gc.enable()
 
 # -- overlap-pair build matches the dict-probe oracle ---------------------------
 
