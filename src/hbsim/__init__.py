@@ -52,13 +52,9 @@ from .protocols import (
     GlobalView,
     ProtocolConfig,
     build_global_view,
-    central_poll,
     direct_poll,
-    hierarchical_poll,
     make_poller,
-    poll_subscriptions,
     provider_serve,
-    transitive_poll,
 )
 
 __version__ = "0.1.0"

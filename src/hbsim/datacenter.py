@@ -175,14 +175,6 @@ class DataCenter:
             self._flush_window()
             self._win += 1
 
-    def record_access(self, component: int, t: float, messages: int,
-                      payload_entries: int = 0) -> None:
-        """Add message accesses for one component to the window containing t."""
-        self.advance_window(t)
-        self._win_msgs[component] += messages
-        if payload_entries:
-            self._win_pay[component] += payload_entries
-
     def message(self, sender: int, receiver: int, t: float,
                 payload_entries: int = 0) -> None:
         """Count one message: sender link, receiver link, and switch.

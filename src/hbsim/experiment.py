@@ -230,7 +230,7 @@ def init_run(cfg: ExperimentConfig, run_index: int, failure_stream=None):
     dc = build_datacenter(cfg.nodes, cfg.subscriptions, topology, cfg.load_window_s)
     gv = None
     if cfg.protocol.kind in (CENTRAL, HIERARCHICAL):
-        gv = build_global_view(cfg.nodes, cfg.protocol, topology)
+        gv = build_global_view(cfg.nodes, cfg.protocol)
     queue = EventQueue()
     queue.schedule(cfg.probe_start_s, PROBE_ACTION)
     for i in range(cfg.nodes):

@@ -14,17 +14,19 @@
                     forwards anything else towards the root, caching replies
                     on the way back.
 
-``poll_subscriptions`` is the readable contract implementation.
-``make_poller`` returns a per-run closure with the same observable
-behaviour for each of the four kinds, tightened for the hot simulation
-loop: flat per-node rows and inlined accounting for the P2P kinds, and
-per-target cache lists with precomputed tree routes for the central and
-hierarchical kinds.  Unit tests drive both side by side and require
-identical state; the brute-force reference comparison covers the P2P kinds.
+``make_poller`` returns the per-run poller of each kind, the only
+implementation in the package: flat per-node rows and inlined accounting
+for the P2P kinds, and per-target cache lists with precomputed tree routes
+for the central and hierarchical kinds.  The naive oracle in
+``tests/reference_sim.py`` restates all four; the tests require identical
+state after every poll and identical whole runs.
 
 Staleness convention everywhere: an entry observed at ``ob`` is fresh at
 time ``now`` iff ``now - ob <= staleness_s``; only fresh entries are
-relayed, and relays keep the original observation time.
+relayed, and relays keep the original observation time.  Ties on the
+observation time: a transitive relay applies only when strictly newer than
+the entry held, so first-hand information wins; a served reply applies on
+a tie.
 """
 
 from __future__ import annotations
@@ -66,9 +68,10 @@ class ProtocolConfig:
 class GlobalView:
     """Connection/referral state for the centralised topologies.
 
-    ``cache`` maps provider -> target -> (alive, observed_at).  ``served``
-    maps provider -> [second, count] and implements the per-whole-second
-    request cap.  The tree fields are empty for the central kind.
+    The pollers read only the layout: ``providers``, or the tree fields,
+    which are empty for the central kind.  ``cache`` (provider -> target ->
+    (alive, observed_at)) and ``served`` (provider -> [second, count]) are
+    read only by ``provider_serve``.
     """
     providers: list[int] = field(default_factory=list)
     cache: dict[int, dict[int, tuple[bool, float]]] = field(default_factory=dict)
@@ -80,7 +83,7 @@ class GlobalView:
     root: int | None = None
 
 
-def build_global_view(n: int, cfg: ProtocolConfig, topology_stream=None) -> GlobalView:
+def build_global_view(n: int, cfg: ProtocolConfig) -> GlobalView:
     """Lay out providers (central) or the aggregator tree (hierarchical).
 
     The layout is deterministic and seed-independent: providers are the
@@ -134,12 +137,17 @@ def build_global_view(n: int, cfg: ProtocolConfig, topology_stream=None) -> Glob
     return gv
 
 
-# -- direct polling ----------------------------------------------------
+# -- kept for the benchmark's trace level ------------------------------
 
 def direct_poll(dc: DataCenter, requester: int, target: int, now: float):
     """Poll one node directly: the request always costs a message, the
     reply only exists when the target is alive (silence means dead), and
-    either way the requester learns the target's state as of ``now``."""
+    either way the requester learns the target's state as of ``now``.
+
+    Nothing in a run calls this: every kind polls through ``make_poller``.
+    It stays because the benchmark's trace level (``perfbench/probe.py``)
+    wraps it by name, and fails to install without it.
+    """
     dc.message(requester, target, now)
     alive = dc.alive[target]
     if alive:
@@ -148,49 +156,6 @@ def direct_poll(dc: DataCenter, requester: int, target: int, now: float):
         dc.apply_observation(requester, target, alive, now)
     return alive, now
 
-
-def _fallback_direct(dc: DataCenter, requester: int, now: float) -> None:
-    # provider/aggregator unreachable or refusing: keep the cycle alive
-    # with plain direct polls
-    for target in dc.subs[requester]:
-        direct_poll(dc, requester, target, now)
-
-
-# -- transitive P2P ----------------------------------------------------
-
-def transitive_poll(dc: DataCenter, requester: int, cfg: ProtocolConfig, now: float) -> None:
-    """One transitive update cycle, targets visited in ascending id order.
-
-    Targets whose cached entry is still fresh are skipped, including
-    freshness gained from piggybacks earlier in this same cycle.  An alive
-    responder's reply carries its fresh entries about nodes the requester
-    also subscribes to (the response payload); the requester applies them
-    with the responder's original observation times.
-    """
-    thr = cfg.staleness_s
-    cut = now - thr
-    subs_r = dc.subs[requester]
-    obs_r = dc.observed[requester]
-    slot_of = dc.sub_slot[requester]
-    for s, target in enumerate(subs_r):
-        if obs_r[s] >= cut:
-            continue
-        dc.message(requester, target, now)
-        if not dc.alive[target]:
-            dc.apply_observation(requester, target, False, now)
-            continue
-        obs_t = dc.observed[target]
-        bel_t = dc.believed[target]
-        subs_t = dc.subs[target]
-        carried = [j for j, u in enumerate(subs_t)
-                   if obs_t[j] >= cut and u in slot_of]
-        dc.message(target, requester, now, payload_entries=len(carried))
-        dc.apply_observation(requester, target, True, now)
-        for j in carried:
-            dc.apply_observation(requester, subs_t[j], bel_t[j], obs_t[j])
-
-
-# -- central -----------------------------------------------------------
 
 def provider_serve(gv: GlobalView, provider: int, requester_targets, cfg: ProtocolConfig,
                    dc: DataCenter, now: float, local: bool = False):
@@ -201,6 +166,11 @@ def provider_serve(gv: GlobalView, provider: int, requester_targets, cfg: Protoc
     observed_at) list, or None when the per-second request cap refuses the
     call.  ``local`` lookups (a provider serving itself) bypass the cap
     and its counter.
+
+    Nothing in a run calls this, and only this reads ``gv.cache`` and
+    ``gv.served``: the central poller keeps its own caches.  It stays
+    because the benchmark's trace level (``perfbench/probe.py``) wraps it
+    by name, and fails to install without it.
     """
     if not local:
         counter = gv.served[provider]
@@ -232,172 +202,7 @@ def provider_serve(gv: GlobalView, provider: int, requester_targets, cfg: Protoc
     return out
 
 
-def central_poll(dc: DataCenter, requester: int, cfg: ProtocolConfig,
-                 gv: GlobalView, now: float) -> None:
-    """Ask the assigned provider (requester index mod provider count) for
-    the whole target set; fall back to direct polls for this cycle when
-    the provider is dead or refuses."""
-    provider = gv.providers[requester % len(gv.providers)]
-    targets = dc.subs[requester]
-    if not targets:
-        return
-    if provider == requester:
-        served = provider_serve(gv, provider, targets, cfg, dc, now, local=True)
-        _apply_served(dc, requester, served)
-        return
-    dc.message(requester, provider, now)
-    if not dc.alive[provider]:
-        _fallback_direct(dc, requester, now)
-        return
-    served = provider_serve(gv, provider, targets, cfg, dc, now)
-    if served is None:
-        _fallback_direct(dc, requester, now)
-        return
-    dc.message(provider, requester, now, payload_entries=len(served))
-    _apply_served(dc, requester, served)
-
-
-def _apply_served(dc: DataCenter, requester: int, served) -> None:
-    for target, alive, observed_at in served:
-        dc.apply_observation(requester, target, alive, observed_at)
-
-
-# -- hierarchical ------------------------------------------------------
-
-def _serve_at_aggregator(dc: DataCenter, gv: GlobalView, cfg: ProtocolConfig,
-                         agg: int, targets, now: float, local: bool):
-    """Resolve a target batch at one aggregator.
-
-    Fresh cache entries answer immediately.  Stale targets in the
-    aggregator's own leaf group are polled directly; others are batched
-    and forwarded to the covering child aggregator (or the parent when
-    outside this subtree), and replies are cached here with their original
-    observation times.  A dead or refusing next hop makes this aggregator
-    poll those targets itself.  Returns None only on cap refusal.
-    """
-    if not local:
-        counter = gv.served[agg]
-        sec = int(now)
-        if counter[0] != sec:
-            counter[0] = sec
-            counter[1] = 0
-        cap = cfg.max_requests_per_s
-        if cap is not None and counter[1] >= cap:
-            return None
-        counter[1] += 1
-    cache = gv.cache[agg]
-    thr = cfg.staleness_s
-    lo, hi = gv.ranges[agg]
-    leaf_agg = gv.leaf_agg
-    out: dict[int, tuple[bool, float]] = {}
-    forward: dict[int, list[int]] = {}
-    direct: list[int] = []
-    for target in targets:
-        if target == agg:
-            entry = (True, now)
-            cache[target] = entry
-            out[target] = entry
-            continue
-        entry = cache.get(target)
-        if entry is not None and now - entry[1] <= thr:
-            out[target] = entry
-            continue
-        if leaf_agg[target] == agg:
-            direct.append(target)
-        elif lo <= target < hi:
-            for child, clo, chi in gv.agg_children[agg]:
-                if clo <= target < chi:
-                    forward.setdefault(child, []).append(target)
-                    break
-        else:
-            forward.setdefault(gv.parent[agg], []).append(target)
-    for target in direct:
-        dc.message(agg, target, now)
-        alive = dc.alive[target]
-        if alive:
-            dc.message(target, agg, now)
-        entry = (alive, now)
-        cache[target] = entry
-        out[target] = entry
-    for hop in sorted(forward):
-        batch = forward[hop]
-        dc.message(agg, hop, now)
-        answered = False
-        if dc.alive[hop]:
-            sub = _serve_at_aggregator(dc, gv, cfg, hop, batch, now, local=False)
-            if sub is not None:
-                dc.message(hop, agg, now, payload_entries=len(batch))
-                for target, alive, observed_at in sub:
-                    entry = (alive, observed_at)
-                    cache[target] = entry
-                    out[target] = entry
-                answered = True
-        if not answered:
-            for target in batch:
-                dc.message(agg, target, now)
-                alive = dc.alive[target]
-                if alive:
-                    dc.message(target, agg, now)
-                entry = (alive, now)
-                cache[target] = entry
-                out[target] = entry
-    return [(t, out[t][0], out[t][1]) for t in sorted(out)]
-
-
-def hierarchical_poll(dc: DataCenter, requester: int, cfg: ProtocolConfig,
-                      gv: GlobalView, now: float) -> None:
-    """Ask the requester's group aggregator for the whole target set."""
-    agg = gv.leaf_agg[requester]
-    targets = dc.subs[requester]
-    if not targets:
-        return
-    if agg == requester:
-        served = _serve_at_aggregator(dc, gv, cfg, agg, targets, now, local=True)
-        _apply_served(dc, requester, served)
-        return
-    dc.message(requester, agg, now)
-    if not dc.alive[agg]:
-        _fallback_direct(dc, requester, now)
-        return
-    served = _serve_at_aggregator(dc, gv, cfg, agg, targets, now, local=False)
-    if served is None:
-        _fallback_direct(dc, requester, now)
-        return
-    dc.message(agg, requester, now, payload_entries=len(served))
-    _apply_served(dc, requester, served)
-
-
-# -- dispatch ----------------------------------------------------------
-
-def poll_subscriptions(dc: DataCenter, node: int, cfg: ProtocolConfig,
-                       gv: GlobalView | None, now: float) -> None:
-    """Run one update cycle for ``node`` under the configured protocol.
-
-    Dead nodes do not poll (their update events are no-ops).  Every cached
-    entry of the node ends at least as fresh as it started, and all
-    traffic lands in the data centre's load log.
-    """
-    if not dc.alive[node]:
-        return
-    kind = cfg.kind
-    if kind == SIMPLE_P2P:
-        for target in dc.subs[node]:
-            direct_poll(dc, node, target, now)
-    elif kind == TRANSITIVE_P2P:
-        transitive_poll(dc, node, cfg, now)
-    elif kind == CENTRAL:
-        if gv is None:
-            raise ValueError("central protocol requires a GlobalView")
-        central_poll(dc, node, cfg, gv, now)
-    elif kind == HIERARCHICAL:
-        if gv is None:
-            raise ValueError("hierarchical protocol requires a GlobalView")
-        hierarchical_poll(dc, node, cfg, gv, now)
-    else:
-        raise ValueError(f"unknown protocol kind {kind!r}")
-
-
-# -- optimized per-run pollers ------------------------------------------
+# -- per-run pollers ---------------------------------------------------
 
 def _build_overlap_pairs(dc: DataCenter) -> list[list[tuple[tuple[int, int], ...] | None]]:
     """pairs[i][s]: for target b = subs[i][s], the (slot_in_b, slot_in_i)
@@ -447,9 +252,11 @@ def _build_overlap_pairs(dc: DataCenter) -> list[list[tuple[tuple[int, int], ...
 
 
 def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
-    """Build the fastest equivalent of poll_subscriptions for one run.
+    """Build the poller of ``cfg.kind`` for one run.
 
-    The returned callable poll(node, now) assumes the node is alive (the
+    The returned callable poll(node, now) runs one update cycle of ``node``:
+    it refreshes the node's cached entries and adds the traffic to the data
+    centre's totals and load log.  It assumes the node is alive (the
     event dispatcher checks) and that calls arrive in nondecreasing time.
 
     For the central and hierarchical kinds ``gv`` supplies only the layout
@@ -460,6 +267,8 @@ def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
     a third with its next hop per target, so memory is O(servers * n): about
     0.8 MB for the 32-aggregator tree at n=1000, about 24 MB for a
     100-aggregator tree at n=10000.
+
+    ``tests/reference_sim.py`` is the oracle of all four pollers.
     """
     kind = cfg.kind
     if kind == CENTRAL:
@@ -602,11 +411,11 @@ def _make_central_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView):
 
 
 def _make_hierarchical_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView):
-    # The next hop of every (aggregator, target) pair, as _serve_at_aggregator
-    # derives it: the parent outside the aggregator's range, the covering
-    # child inside a child's range, and a direct poll over the rest of the
-    # range, which is the aggregator's own leaf group.  The root's range is
-    # every node, so its parent of None never shows.
+    # The next hop of every (aggregator, target) pair: the parent outside
+    # the aggregator's range, the covering child inside a child's range, and
+    # a direct poll over the rest of the range, which is the aggregator's
+    # own leaf group.  The root's range is every node, so its parent of None
+    # never shows.
     n = dc.n
     routes = {}
     for agg, children in gv.agg_children.items():
@@ -625,11 +434,11 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
 
     ``home[i]`` is the provider or leaf aggregator node i asks, and
     ``routes[s][t]`` the next hop server s sends a stale target t to, or
-    _DIRECT to poll it itself.  Outputs match central_poll and
-    hierarchical_poll exactly: staleness is tested as ``now - ob > thr``
-    like provider_serve, forwarded hops are visited in ascending id order,
-    the cap counts requests per ``int(now)`` second and local serving skips
-    it, and an observation applies unless it is older than the cached one.
+    _DIRECT to poll it itself.  Staleness is tested as ``now - ob > thr``,
+    never as ``ob < now - thr``, which can round differently; forwarded
+    hops are visited in ascending id order; the cap counts requests per
+    ``int(now)`` second and local serving skips it; and an observation
+    applies unless it is older than the cached one.
     """
     n = dc.n
     alive = dc.alive

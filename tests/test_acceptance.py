@@ -126,8 +126,8 @@ def test_criterion_03_in_degree_oracle():
 
 
 def test_criterion_04_bruteforce_equivalence():
-    """Engine vs naive reference: exact probe/failure-log/traffic equality
-    over 100 seeded configurations per P2P protocol."""
+    """Engine vs naive reference: exact probe/failure-log/traffic/load-log
+    equality over 100 seeded configurations per protocol."""
     checked = 0
     for seed in range(100):
         meta = random.Random(740_000 + seed)
@@ -135,20 +135,32 @@ def test_criterion_04_bruteforce_equivalence():
         k = meta.randint(1, min(7, n - 1))
         rate = meta.choice([0.0, 0.5, 2.0, 10.0])
         repair = meta.choice(["toggle_repair", "no_repair"])
-        for kind in GRID_PROTOCOLS:
+        # the central and hierarchical parameters come from their own
+        # stream, so the P2P configurations do not depend on them
+        served = random.Random(750_000 + seed)
+        window = served.choice([1.0, 10.0])
+        protocols = [(ProtocolConfig(kind=kind), 10.0) for kind in GRID_PROTOCOLS] + [
+            (ProtocolConfig(kind="central", provider_count=served.randint(1, 3),
+                            max_requests_per_s=served.choice([None, 2, 5])), window),
+            (ProtocolConfig(kind="hierarchical", hierarchy_levels=served.randint(2, 3),
+                            max_requests_per_s=served.choice([None, 2, 5])), window),
+        ]
+        for protocol, load_window_s in protocols:
             cfg = ExperimentConfig(
                 nodes=n, subscriptions=k, duration_s=60.0, runs=1, seed=seed,
-                protocol=ProtocolConfig(kind=kind),
+                protocol=protocol, load_window_s=load_window_s,
                 failure=FailureConfig(rate_pct_per_min=rate, repair_policy=repair))
             engine = run_one(cfg, 0)
             oracle = reference_run(cfg, 0)
             assert engine.probes == oracle.probes, \
-                f"probe series diverged: seed={seed} {kind} n={n} k={k} rate={rate}"
+                f"probe series diverged: seed={seed} {protocol} n={n} k={k} rate={rate}"
             assert engine.failures == oracle.failure_log
             assert engine.summary.total_messages == oracle.messages
             assert engine.summary.total_payload_entries == oracle.payload
+            assert engine.load == oracle.load_rows()
             checked += 1
-    report(4, f"{checked} engine runs matched the brute-force reference exactly")
+    report(4, f"{checked} engine runs over 4 protocols matched the brute-force "
+              f"reference exactly")
 
 
 def test_criterion_05_trend_rate_and_size(desk_grid):

@@ -168,15 +168,13 @@ def test_one_message_touches_three_components():
 
 
 def test_alive_poll_costs_two_messages_dead_poll_one():
-    from hbsim.protocols import direct_poll
+    from hbsim.protocols import SIMPLE_P2P, ProtocolConfig, make_poller
 
-    dc = DataCenter([[1, 2], [0, 2], [0, 1]], load_window_s=10.0)
-    direct_poll(dc, 0, 1, now=1.0)          # alive: request + response
-    assert dc.total_messages == 2
+    dc = DataCenter([[1, 2], [], []], load_window_s=10.0)
     dc.set_liveness(2, False)
-    direct_poll(dc, 0, 2, now=2.0)          # dead: request only
-    assert dc.total_messages == 3
-    rows = dict(((c, (m, p)) for _, c, m, p in dc.finish_load(2.0)))
+    make_poller(dc, ProtocolConfig(kind=SIMPLE_P2P), None)(0, 1.0)
+    assert dc.total_messages == 3           # alive: request + response; dead: request
+    rows = dict(((c, (m, p)) for _, c, m, p in dc.finish_load(1.0)))
     assert rows[0] == (3, 0)   # requester: two requests out, one response in
     assert rows[1] == (2, 0)   # alive target: request in, response out
     assert rows[2] == (1, 0)   # dead target: request in only
@@ -185,18 +183,19 @@ def test_alive_poll_costs_two_messages_dead_poll_one():
 
 def test_window_boundaries_partition_accesses():
     dc = DataCenter([[1], [0]], load_window_s=10.0)
-    dc.record_access(0, t=9.9, messages=2)
-    dc.record_access(0, t=10.1, messages=5)
+    dc.message(0, 1, t=9.9)
+    dc.message(0, 1, t=10.1)
+    dc.message(1, 0, t=10.1)
     rows = dc.finish_load(10.1)
-    assert (0.0, 0, 2, 0) in rows
-    assert (10.0, 0, 5, 0) in rows
+    assert rows == [(0.0, 0, 1, 0), (0.0, 1, 1, 0), (0.0, 2, 1, 0),
+                    (10.0, 0, 2, 0), (10.0, 1, 2, 0), (10.0, 2, 2, 0)]
 
 
 def test_quiet_windows_produce_no_rows():
     dc = DataCenter([[1], [0]], load_window_s=5.0)
-    dc.record_access(1, t=17.0, messages=1)
+    dc.message(1, 0, t=17.0)
     rows = dc.finish_load(17.0)
-    assert rows == [(15.0, 1, 1, 0)]
+    assert rows == [(15.0, 0, 1, 0), (15.0, 1, 1, 0), (15.0, 2, 1, 0)]
 
 
 def test_payload_entries_tracked_separately():

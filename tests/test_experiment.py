@@ -18,7 +18,7 @@ from hbsim.experiment import (
 )
 from hbsim.failure import FailureConfig, ScriptedFailureStream
 from hbsim.outputs import write_outputs
-from hbsim.protocols import ProtocolConfig
+from hbsim.protocols import PROTOCOL_KINDS, ProtocolConfig
 
 from reference_sim import reference_run
 
@@ -221,14 +221,19 @@ def test_engine_matches_bruteforce_reference():
 
     cfg = ExperimentConfig(nodes=20, subscriptions=4, duration_s=60.0, runs=1,
                            seed=17, failure=FailureConfig(rate_pct_per_min=6.0))
-    for kind in ("simple_p2p", "transitive_p2p"):
-        kcfg = replace(cfg, protocol=ProtocolConfig(kind=kind))
-        engine = run_one(kcfg, 0)
-        oracle = reference_run(kcfg, 0)
-        assert engine.probes == oracle.probes
-        assert engine.failures == oracle.failure_log
-        assert engine.summary.total_messages == oracle.messages
-        assert engine.summary.total_payload_entries == oracle.payload
+    # the cap binds the central and hierarchical kinds: one provider or
+    # aggregator gets several requests a second from 20 nodes
+    for kind in PROTOCOL_KINDS:
+        for window in (1.0, 10.0):
+            kcfg = replace(cfg, protocol=ProtocolConfig(kind=kind, max_requests_per_s=3),
+                           load_window_s=window)
+            engine = run_one(kcfg, 0)
+            oracle = reference_run(kcfg, 0)
+            assert engine.probes == oracle.probes
+            assert engine.failures == oracle.failure_log
+            assert engine.summary.total_messages == oracle.messages
+            assert engine.summary.total_payload_entries == oracle.payload
+            assert engine.load == oracle.load_rows()
 
 
 # -- statistics -------------------------------------------------------------------
@@ -316,7 +321,7 @@ GOLDEN_TRANSITIVE_SHA256 = {
 
 
 # SHA-256 of each table of one pinned config per centralised kind.  Recorded
-# with the contract pollers (central_poll, hierarchical_poll), before
+# with the first, dict-cache implementation of these two kinds, before
 # make_poller gained its fast central and hierarchical pollers.
 GOLDEN_SERVED_SHA256 = {
     "central": {

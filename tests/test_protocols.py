@@ -15,18 +15,24 @@ from hbsim.protocols import (
     ProtocolConfig,
     _build_overlap_pairs,
     build_global_view,
-    central_poll,
-    direct_poll,
-    hierarchical_poll,
     make_poller,
-    poll_subscriptions,
-    provider_serve,
-    transitive_poll,
 )
+
+from reference_sim import ReferenceState
+
+SIMPLE = ProtocolConfig(kind=SIMPLE_P2P)
+TRANSITIVE = ProtocolConfig(kind=TRANSITIVE_P2P)
 
 
 def fresh_dc(subs, window=10.0):
     return DataCenter(subs, load_window_s=window)
+
+
+def poller_for(dc, cfg):
+    """make_poller's poller for cfg on dc, with a fresh global view for the
+    central and hierarchical kinds."""
+    gv = build_global_view(dc.n, cfg) if cfg.kind in (CENTRAL, HIERARCHICAL) else None
+    return make_poller(dc, cfg, gv)
 
 
 # -- direct polling --------------------------------------------------------
@@ -34,33 +40,25 @@ def fresh_dc(subs, window=10.0):
 
 def test_direct_poll_alive_target():
     dc = fresh_dc([[1], [0]])
-    alive, at = direct_poll(dc, 0, 1, now=4.0)
-    assert (alive, at) == (True, 4.0)
-    assert dc.believed[0][0] is True
-    assert dc.observed[0][0] == 4.0
+    poller_for(dc, SIMPLE)(0, 4.0)
+    assert dc.total_messages == 2           # request and response
+    assert dc.believed[0] == [True]
+    assert dc.observed[0] == [4.0]
 
 
 def test_direct_poll_dead_target_silence_is_the_observation():
     dc = fresh_dc([[1], [0]])
     dc.set_liveness(1, False)
-    alive, at = direct_poll(dc, 0, 1, now=4.0)
-    assert (alive, at) == (False, 4.0)
-    assert dc.believed[0][0] is False
+    poller_for(dc, SIMPLE)(0, 4.0)
+    assert dc.total_messages == 1           # the request; the dead do not reply
+    assert dc.believed[0] == [False]
+    assert dc.observed[0] == [4.0]
     assert dc.count_inconsistent_nodes() == 0
-
-
-def test_dead_requester_never_polls():
-    dc = fresh_dc([[1], [0]])
-    dc.set_liveness(0, False)
-    cfg = ProtocolConfig(kind=SIMPLE_P2P)
-    poll_subscriptions(dc, 0, cfg, None, now=5.0)
-    assert dc.total_messages == 0
-    assert dc.observed[0][0] == 0.0
 
 
 def test_simple_poll_issues_k_polls():
     dc = build_datacenter(20, 5, RngStream("topology", 3))
-    poll_subscriptions(dc, 7, ProtocolConfig(kind=SIMPLE_P2P), None, now=2.0)
+    poller_for(dc, SIMPLE)(7, 2.0)
     assert dc.total_messages == 10  # request + response per alive target
     assert dc.observed[7] == [2.0] * 5
     assert dc.count_inconsistent_nodes() == 0
@@ -70,7 +68,7 @@ def test_poll_refreshes_entries_after_failure():
     dc = build_datacenter(20, 5, RngStream("topology", 3))
     victim = dc.subs[7][2]
     dc.set_liveness(victim, False)
-    poll_subscriptions(dc, 7, ProtocolConfig(kind=SIMPLE_P2P), None, now=2.0)
+    poller_for(dc, SIMPLE)(7, 2.0)
     assert dc.believed[7][2] is False
     assert 7 not in [obs for obs, _ in dc.subscribers[victim]
                      if dc.believed[obs][dc.sub_slot[obs][victim]] != dc.alive[victim]]
@@ -84,8 +82,8 @@ def test_transitive_with_stale_responder_cache_matches_simple():
     subs = [[1, 2], [0, 2], [0, 1]]
     a = fresh_dc(subs)
     b = fresh_dc(subs)
-    poll_subscriptions(a, 0, ProtocolConfig(kind=SIMPLE_P2P), None, now=5.0)
-    poll_subscriptions(b, 0, ProtocolConfig(kind=TRANSITIVE_P2P), None, now=5.0)
+    poller_for(a, SIMPLE)(0, 5.0)
+    poller_for(b, TRANSITIVE)(0, 5.0)
     assert a.total_messages == b.total_messages
     assert b.total_payload == 0
     assert a.believed[0] == b.believed[0]
@@ -94,9 +92,10 @@ def test_transitive_with_stale_responder_cache_matches_simple():
 def test_transitive_piggyback_lets_requester_skip_fresh_target():
     # 0 watches {1, 2}; 1's cache holds a fresh observation of 2
     dc = fresh_dc([[1, 2], [2], [1]])
-    direct_poll(dc, 1, 2, now=5.0)          # 1 observes 2 at t=5.0
+    poll = poller_for(dc, TRANSITIVE)
+    poll(1, 5.0)                            # 1 observes 2 at t=5.0
     dc.total_messages = 0
-    transitive_poll(dc, 0, ProtocolConfig(kind=TRANSITIVE_P2P), now=5.3)
+    poll(0, 5.3)
     # polling 1 returned its entry on 2, so 2 itself was never polled
     assert dc.total_messages == 2
     assert dc.total_payload == 1
@@ -106,8 +105,9 @@ def test_transitive_piggyback_lets_requester_skip_fresh_target():
 
 def test_transitive_stale_piggyback_not_relayed():
     dc = fresh_dc([[1, 2], [2], [1]])
-    direct_poll(dc, 1, 2, now=5.0)
-    transitive_poll(dc, 0, ProtocolConfig(kind=TRANSITIVE_P2P), now=6.5)
+    poll = poller_for(dc, TRANSITIVE)
+    poll(1, 5.0)
+    poll(0, 6.5)
     # 1's entry on 2 is 1.5s old: beyond the threshold, so not carried
     assert dc.total_payload == 0
     assert dc.observed[0] == [6.5, 6.5]     # both targets polled directly
@@ -116,33 +116,59 @@ def test_transitive_stale_piggyback_not_relayed():
 def test_transitive_irrelevant_entries_not_delivered():
     # responder 1 knows about 3, but requester 0 does not watch 3
     dc = fresh_dc([[1, 2], [3], [1], [2]])
-    direct_poll(dc, 1, 3, now=5.0)
-    transitive_poll(dc, 0, ProtocolConfig(kind=TRANSITIVE_P2P), now=5.2)
+    poll = poller_for(dc, TRANSITIVE)
+    poll(1, 5.0)
+    poll(0, 5.2)
     assert dc.total_payload == 0
     assert dc.observed[0] == [5.2, 5.2]
 
 
 def test_transitive_relayed_age_accumulates_across_hops():
-    # chain: 2 observed 3 at t=1.0; 1 picks it up at 1.5; 0 hears it at 1.9
+    # chain: 2 observed 3 at t=2.0; 1 picks it up at 2.5; 0 hears it at 2.9
     dc = fresh_dc([[1, 3], [2, 3], [3], [0]])
-    cfg = ProtocolConfig(kind=TRANSITIVE_P2P)
-    direct_poll(dc, 2, 3, now=1.0)
-    transitive_poll(dc, 1, cfg, now=1.5)
-    assert dc.observed[1] == [1.5, 1.0]
-    transitive_poll(dc, 0, cfg, now=1.9)
-    assert dc.observed[0] == [1.9, 1.0]     # original observation time survives
+    poll = poller_for(dc, TRANSITIVE)
+    poll(2, 2.0)
+    poll(1, 2.5)
+    assert dc.observed[1] == [2.5, 2.0]
+    poll(0, 2.9)
+    assert dc.observed[0] == [2.9, 2.0]     # original observation time survives
 
 
 def test_transitive_never_applies_entries_older_than_own():
     dc = fresh_dc([[1, 2], [2], [1]])
-    direct_poll(dc, 1, 2, now=5.0)
+    poll = poller_for(dc, TRANSITIVE)
+    poll(1, 5.0)
     dc.set_liveness(2, False)
-    direct_poll(dc, 0, 2, now=5.5)          # 0 has newer first-hand info
-    assert dc.believed[0][1] is False
-    transitive_poll(dc, 0, ProtocolConfig(kind=TRANSITIVE_P2P), now=5.8)
+    dc.apply_observation(0, 2, False, 5.5)  # 0 has newer first-hand info
+    poll(0, 5.8)
     # 1's stale "2 is alive" (t=5.0) must not overwrite 0's t=5.5 entry
     assert dc.believed[0][1] is False
     assert dc.observed[0][1] == 5.5
+
+
+def test_transitive_first_hand_wins_a_tie():
+    # all at t=5: 0 sees 2 alive first hand; 2 dies and 1 sees it dead; 0's
+    # entry on 1 is made stale, so 0 polls 1 again, and 1's relay "2 is
+    # dead" carries the same observation time as 0's own entry on 2
+    subs = [[1, 2], [2], [1]]
+    dc = fresh_dc(subs)
+    poll = poller_for(dc, TRANSITIVE)
+    poll(0, 5.0)
+    dc.set_liveness(2, False)
+    poll(1, 5.0)
+    dc.observed[0][0] = 0.0
+    poll(0, 5.0)
+    assert dc.believed[0] == [True, True]   # the first-hand entry stays
+    assert dc.inconsistent == 1
+    # the oracle keeps the same rule
+    oracle = ReferenceState(subs, TRANSITIVE)
+    oracle.poll(0, 5.0)
+    oracle.alive[2] = False
+    oracle.poll(1, 5.0)
+    oracle.cache[0][1][1] = 0.0
+    oracle.poll(0, 5.0)
+    assert oracle.cache[0][2] == [True, 5.0]
+    assert oracle.scan_inconsistent() == 1
 
 
 # -- central ----------------------------------------------------------------
@@ -150,89 +176,91 @@ def test_transitive_never_applies_entries_older_than_own():
 
 def central_setup(n=12, k=3, seed=5, **cfg_kw):
     dc = build_datacenter(n, k, RngStream("topology", seed))
-    cfg = ProtocolConfig(kind=CENTRAL, **cfg_kw)
-    gv = build_global_view(n, cfg)
-    return dc, cfg, gv
+    return dc, poller_for(dc, ProtocolConfig(kind=CENTRAL, **cfg_kw))
 
 
 def test_build_global_view_central_designates_lowest_ids():
-    _, cfg, gv = central_setup(provider_count=1)
-    assert gv.providers == [0]
-    _, cfg3, gv3 = central_setup(provider_count=3)
+    assert build_global_view(12, ProtocolConfig(kind=CENTRAL)).providers == [0]
+    gv3 = build_global_view(12, ProtocolConfig(kind=CENTRAL, provider_count=3))
     assert gv3.providers == [0, 1, 2]
 
 
 def test_central_fresh_cache_costs_two_messages():
-    dc, cfg, gv = central_setup()
-    central_poll(dc, 5, cfg, gv, now=2.0)    # warms the provider cache
+    dc, poll = central_setup()
+    poll(5, 2.0)                             # warms the provider cache
     before = dc.total_messages
-    central_poll(dc, 5, cfg, gv, now=2.5)    # cache still fresh
+    poll(5, 2.5)                             # cache still fresh
     assert dc.total_messages - before == 2   # one request, one bulk response
     assert dc.observed[5] == [2.0] * 3       # provider's observation times
 
 
 def test_central_stale_cache_refreshes_upstream():
-    dc, cfg, gv = central_setup()
-    central_poll(dc, 5, cfg, gv, now=2.0)
+    dc, poll = central_setup()
+    poll(5, 2.0)
     before = dc.total_messages
-    central_poll(dc, 5, cfg, gv, now=4.0)    # all three entries went stale
+    poll(5, 4.0)                             # all three entries went stale
     # request + 3 upstream polls (2 msgs each, all alive) + response
     assert dc.total_messages - before == 2 + 6
 
 
 def test_central_observed_at_propagates_unchanged():
-    dc, cfg, gv = central_setup()
-    central_poll(dc, 5, cfg, gv, now=2.0)
-    central_poll(dc, 8, cfg, gv, now=2.4)
+    dc, poll = central_setup()
+    poll(5, 2.0)
+    poll(8, 2.4)
     shared = set(dc.subs[5]) & set(dc.subs[8])
     for t in shared:
         assert dc.observed[8][dc.sub_slot[8][t]] == 2.0
 
 
 def test_central_dead_provider_falls_back_to_direct():
-    dc, cfg, gv = central_setup()
+    dc, poll = central_setup()
     dc.set_liveness(0, False)
-    central_poll(dc, 5, cfg, gv, now=2.0)
+    poll(5, 2.0)
     # request to the dead provider (1 msg) + 2k fallback messages
     assert dc.total_messages == 1 + 2 * len(dc.subs[5])
     assert dc.observed[5] == [2.0] * 3       # cycle still refreshed everything
 
 
 def test_provider_request_cap_refuses_within_second():
-    dc, cfg, gv = central_setup(max_requests_per_s=5)
-    targets = dc.subs[5]
-    for _ in range(5):
-        assert provider_serve(gv, 0, targets, cfg, dc, now=3.2) is not None
-    assert provider_serve(gv, 0, targets, cfg, dc, now=3.9) is None   # sixth in same second
-    assert provider_serve(gv, 0, targets, cfg, dc, now=4.0) is not None  # next second
+    dc, poll = central_setup(max_requests_per_s=5)
+    k = len(dc.subs[5])
+    costs = []
+    for now in (3.2, 3.2, 3.2, 3.2, 3.2, 3.9, 4.0):
+        before = dc.total_messages
+        poll(5, now)
+        costs.append(dc.total_messages - before)
+    # the first request fills the cache; the sixth in second 3 is refused and
+    # falls back to direct polls; second 4 admits requests again
+    assert costs == [2 + 2 * k, 2, 2, 2, 2, 1 + 2 * k, 2]
 
 
 def test_central_requester_applies_fallback_on_refusal():
-    dc, cfg, gv = central_setup(max_requests_per_s=1)
-    central_poll(dc, 5, cfg, gv, now=2.0)
-    central_poll(dc, 8, cfg, gv, now=2.1)    # refused, falls back
+    dc, poll = central_setup(max_requests_per_s=1)
+    poll(5, 2.0)
+    poll(8, 2.1)                             # refused, falls back
     assert dc.observed[8] == [2.1] * 3
 
 
 def test_provider_serves_itself_without_network_traffic():
-    dc, cfg, gv = central_setup()
+    dc, poll = central_setup()
     # provider 0 is requester 0's assigned provider (0 mod 1)
-    central_poll(dc, 0, cfg, gv, now=2.0)
+    poll(0, 2.0)
     # only upstream refresh polls are counted: 2 per alive target
     assert dc.total_messages == 2 * len(dc.subs[0])
 
 
 # -- hierarchical ------------------------------------------------------------
 
+TREE2 = ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=2)
+
 
 def test_build_global_view_hierarchy_n9():
-    cfg = ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=2)
-    gv = build_global_view(9, cfg)
+    gv = build_global_view(9, TREE2)
     assert gv.leaf_agg == [0, 0, 0, 3, 3, 3, 6, 6, 6]
     assert gv.root == 0
     assert gv.ranges[0] == (0, 9)
     assert gv.ranges[3] == (3, 6)
-    assert sorted(gv.cache) == [0, 3, 6]
+    assert sorted(gv.agg_children) == [0, 3, 6]
 
 
 def test_build_global_view_single_node():
@@ -246,9 +274,7 @@ def test_hierarchical_same_group_single_aggregator_hop():
     subs = [[] for _ in range(9)]
     subs[1] = [2]                           # target in requester's own group
     dc = fresh_dc(subs)
-    cfg = ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=2)
-    gv = build_global_view(9, cfg)
-    hierarchical_poll(dc, 1, cfg, gv, now=2.0)
+    poller_for(dc, TREE2)(1, 2.0)
     # 1->0 request, 0 polls 2 (2 msgs), 0->1 response
     assert dc.total_messages == 4
     assert dc.believed[1] == [True]
@@ -257,18 +283,20 @@ def test_hierarchical_same_group_single_aggregator_hop():
 def test_hierarchical_sibling_subtree_routes_through_root():
     subs = [[] for _ in range(9)]
     subs[1] = [7]                           # target lives under aggregator 6
+    subs[8] = [7]
     dc = fresh_dc(subs)
-    cfg = ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=2)
-    gv = build_global_view(9, cfg)
-    hierarchical_poll(dc, 1, cfg, gv, now=2.0)
+    poll = poller_for(dc, TREE2)
+    poll(1, 2.0)
     # path: 1 -> agg0(root) -> agg6 -> 7 and back
     assert dc.total_messages == 6
     assert dc.believed[1] == [True]
     assert dc.observed[1] == [2.0]
-    assert gv.cache[0][7] == (True, 2.0)    # cached at every hop on the way back
-    assert gv.cache[6][7] == (True, 2.0)
     rows = {c: m for _, c, m, _ in dc.finish_load(2.0)}
     assert rows[dc.switch] == 6
+    # cached at agg6 on the way back: node 8's request is answered there
+    poll(8, 2.5)
+    assert dc.total_messages == 6 + 2
+    assert dc.observed[8] == [2.0]
 
 
 def test_hierarchical_serves_sibling_from_cache_with_original_age():
@@ -276,11 +304,10 @@ def test_hierarchical_serves_sibling_from_cache_with_original_age():
     subs[1] = [7]
     subs[2] = [7]
     dc = fresh_dc(subs)
-    cfg = ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=2)
-    gv = build_global_view(9, cfg)
-    hierarchical_poll(dc, 1, cfg, gv, now=2.0)
+    poll = poller_for(dc, TREE2)
+    poll(1, 2.0)
     before = dc.total_messages
-    hierarchical_poll(dc, 2, cfg, gv, now=2.5)
+    poll(2, 2.5)
     assert dc.total_messages - before == 2  # answered from agg0's cache
     assert dc.observed[2] == [2.0]
 
@@ -288,29 +315,35 @@ def test_hierarchical_serves_sibling_from_cache_with_original_age():
 def test_hierarchical_three_levels_routes_through_each_tier():
     subs = [[] for _ in range(27)]
     subs[4] = [26]          # requester under leaf agg 3, target under leaf agg 24
+    # one requester under each aggregator on the route: 3, 0, 18 and 24
+    for node in (5, 1, 19, 25):
+        subs[node] = [26]
     dc = fresh_dc(subs)
     cfg = ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=3)
     gv = build_global_view(27, cfg)
-    assert gv.leaf_agg[4] == 3
-    assert gv.leaf_agg[26] == 24
+    assert [gv.leaf_agg[node] for node in (4, 5, 1, 19, 25, 26)] == [3, 3, 0, 18, 24, 24]
     assert gv.ranges[0] == (0, 27)
     assert gv.ranges[18] == (18, 27)
-    hierarchical_poll(dc, 4, cfg, gv, now=2.0)
+    poll = make_poller(dc, cfg, gv)
+    poll(4, 2.0)
     # request chain 4-3-0-18-24-26 and the response back: ten messages
     assert dc.total_messages == 10
     assert dc.believed[4] == [True]
-    for agg in (3, 0, 18, 24):
-        assert gv.cache[agg][26] == (True, 2.0)
+    # every aggregator on the route cached the reply: each answers at once
+    for node in (5, 1, 19, 25):
+        before = dc.total_messages
+        poll(node, 2.5)
+        assert dc.total_messages - before == 2
+        assert dc.observed[node] == [2.0]
 
 
 def test_hierarchical_dead_aggregator_falls_back_to_direct():
     subs = [[] for _ in range(9)]
     subs[1] = [7]
     dc = fresh_dc(subs)
-    cfg = ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=2)
-    gv = build_global_view(9, cfg)
+    poll = poller_for(dc, TREE2)
     dc.set_liveness(0, False)
-    hierarchical_poll(dc, 1, cfg, gv, now=2.0)
+    poll(1, 2.0)
     assert dc.believed[1] == [True]
     assert dc.observed[1] == [2.0]
     assert dc.total_messages == 1 + 2       # dead request + direct poll
@@ -322,13 +355,12 @@ def test_hierarchical_dead_aggregator_falls_back_to_direct():
 @pytest.mark.parametrize("kind", [CENTRAL, HIERARCHICAL, SIMPLE_P2P, TRANSITIVE_P2P])
 def test_zero_failures_every_protocol_stays_consistent(kind):
     dc = build_datacenter(30, 5, RngStream("topology", 11))
-    cfg = ProtocolConfig(kind=kind)
-    gv = build_global_view(30, cfg) if kind in (CENTRAL, HIERARCHICAL) else None
+    poll = poller_for(dc, ProtocolConfig(kind=kind))
     stream = RngStream("drive", 4)
     now = 0.0
     for _ in range(300):
         now += stream.uniform(0.0, 0.3)
-        poll_subscriptions(dc, stream.index(30), cfg, gv, now)
+        poll(stream.index(30), now)
         assert dc.count_inconsistent_nodes() == 0
 
 
@@ -338,13 +370,13 @@ def test_no_entry_older_than_staleness_after_a_cycle(kind):
     # leaves every entry within the staleness threshold
     dc = build_datacenter(30, 5, RngStream("topology", 19))
     cfg = ProtocolConfig(kind=kind)
-    gv = build_global_view(30, cfg) if kind in (CENTRAL, HIERARCHICAL) else None
+    poll = poller_for(dc, cfg)
     stream = RngStream("drive", 6)
     now = 0.0
     for _ in range(200):
         now += stream.uniform(0.0, 0.4)
         node = stream.index(30)
-        poll_subscriptions(dc, node, cfg, gv, now)
+        poll(node, now)
         assert all(now - at <= cfg.staleness_s for at in dc.observed[node])
 
 
@@ -352,41 +384,26 @@ def test_central_requester_link_cheaper_than_simple_per_cycle():
     subs_seed = RngStream("topology", 13)
     dc_simple = build_datacenter(50, 7, subs_seed)
     dc_central = DataCenter([list(r) for r in dc_simple.subs])
-    cfg_c = ProtocolConfig(kind=CENTRAL)
-    gv = build_global_view(50, cfg_c)
-    poll_subscriptions(dc_simple, 9, ProtocolConfig(kind=SIMPLE_P2P), None, 2.0)
-    poll_subscriptions(dc_central, 9, cfg_c, gv, 2.0)
+    poller_for(dc_simple, SIMPLE)(9, 2.0)
+    poller_for(dc_central, ProtocolConfig(kind=CENTRAL))(9, 2.0)
     simple_link = {c: m for _, c, m, _ in dc_simple.finish_load(2.0)}[9]
     central_link = {c: m for _, c, m, _ in dc_central.finish_load(2.0)}[9]
     assert central_link <= simple_link
     assert central_link == 2
 
 
-# -- optimized pollers match the contract implementation ----------------------
+# -- the pollers match the oracle after every step ------------------------------
 
 
-def contract_and_fast(subs, cfg, load_window_s=10.0):
-    """Two data centres on one topology, each with its own global view: one
-    polled by poll_subscriptions, one by make_poller's poller.  Returns
-    [(dc, poll(node, now))] for both."""
+def assert_poller_matches_oracle(subs, cfg, steps, seed):
+    """Drive make_poller's poller and the oracle through one random script
+    of polls and liveness flips, and require the same state after every
+    step and the same load log at the end."""
     n = len(subs)
-    served = cfg.kind in (CENTRAL, HIERARCHICAL)
-    contract = DataCenter(subs, load_window_s=load_window_s)
-    gv = build_global_view(n, cfg) if served else None
-    fast = DataCenter(subs, load_window_s=load_window_s)
-    poller = make_poller(fast, cfg, build_global_view(n, cfg) if served else None)
-    return [(contract, lambda node, now: poll_subscriptions(contract, node, cfg, gv, now)),
-            (fast, poller)]
-
-
-def assert_fast_poller_matches_contract(subs, cfg, steps, seed):
-    """Drive both sides of contract_and_fast through one random script of
-    polls and liveness flips, and require the same state after every step
-    and the same load log at the end."""
-    n = len(subs)
-    (reference, contract_poll), (fast, poller) = contract_and_fast(subs, cfg, 5.0)
-    layout = build_global_view(n, cfg) if cfg.kind in (CENTRAL, HIERARCHICAL) else None
-    servers = (layout.providers or sorted(layout.agg_children)) if layout else []
+    dc = fresh_dc(subs, 5.0)
+    poller = poller_for(dc, cfg)
+    oracle = ReferenceState(subs, cfg, load_window_s=5.0)
+    servers = sorted(oracle.server_cache)
 
     drive = RngStream("drive", seed)
     now = 0.0
@@ -396,25 +413,26 @@ def assert_fast_poller_matches_contract(subs, cfg, steps, seed):
             # half the flips hit a provider or aggregator
             pool = servers if servers and drive.index(2) == 0 else range(n)
             victim = pool[drive.index(len(pool))]
-            reference.set_liveness(victim, not reference.alive[victim])
-            fast.set_liveness(victim, not fast.alive[victim])
+            dc.set_liveness(victim, not dc.alive[victim])
+            oracle.alive[victim] = not oracle.alive[victim]
         node = drive.index(n)
-        contract_poll(node, now)            # a dead node's poll is a no-op
-        if fast.alive[node]:
+        if dc.alive[node]:                  # the run's dispatcher checks
             poller(node, now)
-        assert fast.believed == reference.believed
-        assert fast.observed == reference.observed
-        assert fast.bad_count == reference.bad_count
-        assert fast.inconsistent == reference.inconsistent
-        assert fast.total_messages == reference.total_messages
-        assert fast.total_payload == reference.total_payload
-    assert fast.finish_load(now) == reference.finish_load(now)
+        oracle.poll(node, now)              # a dead node's poll is a no-op
+        rows = [[oracle.cache[i][t] for t in dc.subs[i]] for i in range(n)]
+        assert dc.believed == [[entry[0] for entry in row] for row in rows]
+        assert dc.observed == [[entry[1] for entry in row] for row in rows]
+        assert dc.bad_count == [oracle.wrong_entries(i) for i in range(n)]
+        assert dc.inconsistent == oracle.scan_inconsistent()
+        assert dc.total_messages == oracle.messages
+        assert dc.total_payload == oracle.payload
+    assert dc.finish_load(now) == oracle.load_rows()
 
 
 # a cap of 2 requests per second makes servers refuse, so requesters fall back
 FAST_POLLER_CASES = [
-    pytest.param(ProtocolConfig(kind=SIMPLE_P2P), id=SIMPLE_P2P),
-    pytest.param(ProtocolConfig(kind=TRANSITIVE_P2P), id=TRANSITIVE_P2P),
+    pytest.param(SIMPLE, id=SIMPLE_P2P),
+    pytest.param(TRANSITIVE, id=TRANSITIVE_P2P),
     *(pytest.param(ProtocolConfig(kind=CENTRAL, provider_count=p, max_requests_per_s=cap),
                    id=f"{CENTRAL}-providers{p}-cap{cap}")
       for p in (1, 3) for cap in (None, 2)),
@@ -426,9 +444,9 @@ FAST_POLLER_CASES = [
 
 
 @pytest.mark.parametrize("cfg", FAST_POLLER_CASES)
-def test_fast_poller_equivalent_to_poll_subscriptions(cfg):
+def test_fast_poller_equivalent_to_oracle(cfg):
     topology = build_datacenter(25, 4, RngStream("topology", 21))
-    assert_fast_poller_matches_contract(topology.subs, cfg, steps=400, seed=77)
+    assert_poller_matches_oracle(topology.subs, cfg, steps=400, seed=77)
 
 
 # node 2 subscribes to nothing; 0, 3 and 6 are the aggregators of the
@@ -445,7 +463,7 @@ EDGE_CASES = [pytest.param(subs, case.values[0], id=f"{name}-{case.id}")
 
 @pytest.mark.parametrize("subs, cfg", EDGE_CASES)
 def test_fast_poller_equivalent_on_edge_topologies(subs, cfg):
-    assert_fast_poller_matches_contract(subs, cfg, steps=300, seed=5)
+    assert_poller_matches_oracle(subs, cfg, steps=300, seed=5)
 
 
 @pytest.mark.parametrize("kind", [CENTRAL, HIERARCHICAL])
@@ -453,12 +471,13 @@ def test_served_pollers_test_staleness_as_now_minus_observed(kind):
     # 1.1 - 0.1 == 1.0 is fresh at a 1 s threshold, though 0.1 < 1.1 - 1.0
     subs = [[] for _ in range(9)]
     subs[1] = [2]                           # server 0 polls 2 itself
-    for dc, poll in contract_and_fast(subs, ProtocolConfig(kind=kind)):
-        poll(1, 0.1)
-        poll(1, 1.1)
-        # 4 messages to fill the server's cache, then 2 served from it
-        assert dc.total_messages == 6
-        assert dc.observed[1] == [0.1]
+    dc = fresh_dc(subs)
+    poll = poller_for(dc, ProtocolConfig(kind=kind))
+    poll(1, 0.1)
+    poll(1, 1.1)
+    # 4 messages to fill the server's cache, then 2 served from it
+    assert dc.total_messages == 6
+    assert dc.observed[1] == [0.1]
 
 
 @pytest.mark.parametrize("kind", [CENTRAL, HIERARCHICAL])
@@ -469,17 +488,28 @@ def test_served_pollers_apply_an_observation_on_a_tie(kind):
     subs = [[] for _ in range(9)]
     subs[1] = [7]
     subs[2] = [7]
-    for dc, poll in contract_and_fast(subs, ProtocolConfig(kind=kind)):
-        dc.set_liveness(0, False)
-        poll(1, 1.0)
-        assert dc.believed[1] == [True]
-        dc.set_liveness(0, True)
-        dc.set_liveness(7, False)
-        poll(2, 1.0)
-        poll(1, 1.0)
-        assert dc.believed[1] == [False]
-        assert dc.inconsistent == 0
-
+    cfg = ProtocolConfig(kind=kind)
+    dc = fresh_dc(subs)
+    poll = poller_for(dc, cfg)
+    dc.set_liveness(0, False)
+    poll(1, 1.0)
+    assert dc.believed[1] == [True]
+    dc.set_liveness(0, True)
+    dc.set_liveness(7, False)
+    poll(2, 1.0)
+    poll(1, 1.0)
+    assert dc.believed[1] == [False]
+    assert dc.inconsistent == 0
+    # the oracle keeps the same rule
+    oracle = ReferenceState(subs, cfg)
+    oracle.alive[0] = False
+    oracle.poll(1, 1.0)
+    oracle.alive[0] = True
+    oracle.alive[7] = False
+    oracle.poll(2, 1.0)
+    oracle.poll(1, 1.0)
+    assert oracle.cache[1][7] == [False, 1.0]
+    assert oracle.scan_inconsistent() == 0
 
 
 @pytest.mark.parametrize("kind", [CENTRAL, HIERARCHICAL, SIMPLE_P2P, TRANSITIVE_P2P])
