@@ -46,6 +46,12 @@ UPDATE_STREAM = "update"
 FAILURE_STREAM = "failure"
 
 
+def fingerprint(nodes: int, rate_pct_per_min: float, kind: str) -> str:
+    """The name of one sweep cell, such as ``n1000-r1-simple_p2p``; output
+    directories and probe series are keyed by it."""
+    return f"n{nodes}-r{rate_pct_per_min:g}-{kind}"
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration; ``line`` locates file errors."""
 
@@ -116,7 +122,7 @@ class ExperimentConfig:
         return cfg
 
     def fingerprint(self) -> str:
-        return f"n{self.nodes}-r{self.failure.rate_pct_per_min:g}-{self.protocol.kind}"
+        return fingerprint(self.nodes, self.failure.rate_pct_per_min, self.protocol.kind)
 
 
 # config file keys -> (section, attribute, parser)
@@ -354,7 +360,7 @@ class SweepSummary:
     normalized_mean: float
 
     def fingerprint(self) -> str:
-        return f"n{self.nodes}-r{self.rate_pct_per_min:g}-{self.protocol}"
+        return fingerprint(self.nodes, self.rate_pct_per_min, self.protocol)
 
 
 def aggregate(cfg: ExperimentConfig, outputs: list[RunOutput]) -> SweepSummary:

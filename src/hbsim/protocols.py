@@ -32,6 +32,7 @@ a tie.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .datacenter import DataCenter
@@ -152,7 +153,7 @@ def direct_poll(dc: DataCenter, requester: int, target: int, now: float):
     alive = dc.alive[target]
     if alive:
         dc.message(target, requester, now)
-    if target in dc.sub_slot[requester]:
+    if target in dc.subs[requester]:
         dc.apply_observation(requester, target, alive, now)
     return alive, now
 
@@ -215,12 +216,16 @@ def _build_overlap_pairs(dc: DataCenter) -> list[list[tuple[tuple[int, int], ...
     n/30 30-bit digits, and only the set bits of the result are walked in
     Python.  For n nodes with k subscriptions each that is n*k ANDs plus
     work linear in the output (about k**3 pairs in all on a uniform random
-    topology), instead of n*k*k interpreted dict probes.  Every pair tuple
-    is shared from one k x k table, so the result allocates no per-pair
-    objects.
+    topology), instead of n*k*k interpreted dict probes.
+
+    No slot dicts: a shared target u's slot in i comes from one scratch
+    list, filled once per requester, and its slot in b from a bisect of
+    b's sorted row.  Every pair tuple is shared from one k x k table, and
+    so is every 1-pair tuple, the commonest kind (about k*k/n shared
+    targets per edge), so the result allocates only the tuples of edges
+    sharing two targets or more.
     """
     subs = dc.subs
-    sub_slot = dc.sub_slot
     masks = []
     for row in subs:
         mask = 0
@@ -229,24 +234,31 @@ def _build_overlap_pairs(dc: DataCenter) -> list[list[tuple[tuple[int, int], ...
         masks.append(mask)
     k = max(map(len, subs), default=0)
     slot_pairs = [[(j, m) for m in range(k)] for j in range(k)]
+    single_pairs = [[(pair,) for pair in pairs_j] for pairs_j in slot_pairs]
+    slot_i = [0] * dc.n  # slot_i[u]: u's slot in the current requester's row
     pairs = []
     for i, subs_i in enumerate(subs):
         mask_i = masks[i]
-        slots_i = sub_slot[i]
+        for m, u in enumerate(subs_i):
+            slot_i[u] = m
         row = []
         for b in subs_i:
             c = mask_i & masks[b]
-            if c:
-                slots_b = sub_slot[b]
-                pl = []
-                while c:
-                    u = c.bit_length() - 1
-                    c ^= 1 << u
-                    pl.append(slot_pairs[slots_b[u]][slots_i[u]])
-                pl.reverse()  # the walk ran from the highest node id down
-                row.append(tuple(pl))
-            else:
+            if not c:
                 row.append(None)
+                continue
+            subs_b = subs[b]
+            if c.bit_count() == 1:
+                u = c.bit_length() - 1
+                row.append(single_pairs[bisect_left(subs_b, u)][slot_i[u]])
+                continue
+            pl = []
+            while c:
+                u = c.bit_length() - 1
+                c ^= 1 << u
+                pl.append(slot_pairs[bisect_left(subs_b, u)][slot_i[u]])
+            pl.reverse()  # the walk ran from the highest node id down
+            row.append(tuple(pl))
         pairs.append(row)
     return pairs
 

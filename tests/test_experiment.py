@@ -281,6 +281,13 @@ def test_aggregate_uses_per_run_mean_inconsistency():
     assert summary.ci95_halfwidth == pytest.approx(ci95_halfwidth(means))
 
 
+def test_config_and_summary_share_one_fingerprint():
+    cfg = small_cfg(failure=FailureConfig(rate_pct_per_min=0.5),
+                    protocol=ProtocolConfig(kind="transitive_p2p"))
+    summary = aggregate(cfg, [run_one(cfg, 0)])
+    assert cfg.fingerprint() == summary.fingerprint() == "n20-r0.5-transitive_p2p"
+
+
 # -- sweeps --------------------------------------------------------------------
 
 

@@ -72,7 +72,8 @@ def test_alive_pick_fails_node_and_leaves_caches_alone():
     effect, node = fire_failure(dc, FailureConfig(), stream, now=7.0)
     assert (effect, node) == (EFFECT_FAILED, 4)
     assert dc.alive[4] is False
-    for observer, slot in dc.subscribers[4]:
+    for observer in dc.subscribers[4]:
+        slot = dc.subs[observer].index(4)
         assert dc.believed[observer][slot] is True   # caches untouched
     assert dc.count_inconsistent_nodes() == len(dc.subscribers[4])
 

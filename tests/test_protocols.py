@@ -28,6 +28,11 @@ def fresh_dc(subs, window=10.0):
     return DataCenter(subs, load_window_s=window)
 
 
+def slot_map(dc):
+    """slot_map(dc)[i][t]: the slot of target t in node i's cache rows."""
+    return [{t: s for s, t in enumerate(row)} for row in dc.subs]
+
+
 def poller_for(dc, cfg):
     """make_poller's poller for cfg on dc, with a fresh global view for the
     central and hierarchical kinds."""
@@ -70,8 +75,9 @@ def test_poll_refreshes_entries_after_failure():
     dc.set_liveness(victim, False)
     poller_for(dc, SIMPLE)(7, 2.0)
     assert dc.believed[7][2] is False
-    assert 7 not in [obs for obs, _ in dc.subscribers[victim]
-                     if dc.believed[obs][dc.sub_slot[obs][victim]] != dc.alive[victim]]
+    slot = slot_map(dc)
+    assert 7 not in [obs for obs in dc.subscribers[victim]
+                     if dc.believed[obs][slot[obs][victim]] != dc.alive[victim]]
 
 
 # -- transitive ------------------------------------------------------------
@@ -208,8 +214,9 @@ def test_central_observed_at_propagates_unchanged():
     poll(5, 2.0)
     poll(8, 2.4)
     shared = set(dc.subs[5]) & set(dc.subs[8])
+    slot = slot_map(dc)
     for t in shared:
-        assert dc.observed[8][dc.sub_slot[8][t]] == 2.0
+        assert dc.observed[8][slot[8][t]] == 2.0
 
 
 def test_central_dead_provider_falls_back_to_direct():
@@ -535,12 +542,13 @@ def test_poller_holds_no_reference_cycle(kind):
 def reference_overlap_pairs(dc):
     """The straightforward O(n*k*k) build: probe b's slot dict for every
     subscription of i."""
+    slot = slot_map(dc)
     pairs = []
     for i in range(dc.n):
         subs_i = dc.subs[i]
         row = []
         for b in subs_i:
-            slots_b = dc.sub_slot[b]
+            slots_b = slot[b]
             pl = [(slots_b[u], m) for m, u in enumerate(subs_i) if u in slots_b]
             row.append(tuple(pl) if pl else None)
         pairs.append(row)
