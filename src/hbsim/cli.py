@@ -67,6 +67,34 @@ def _csv_list(parser_fn, what):
     return parse
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _fingerprint_clashes(configs) -> list[str]:
+    """One line per sweep cell name that more than one config maps to.
+
+    The name rounds the rate with ``{:g}``, so distinct rates such as 1 and
+    1.0000001 can share it, as can a size, rate or protocol given twice;
+    such cells would write into one output directory.
+    """
+    cells: dict[str, list[ExperimentConfig]] = {}
+    for cfg in configs:
+        cells.setdefault(cfg.fingerprint(), []).append(cfg)
+    return [
+        f"{name}: " + ", ".join(
+            f"(nodes={c.nodes}, rate={c.failure.rate_pct_per_min!r}, protocol={c.protocol.kind})"
+            for c in group)
+        for name, group in cells.items() if len(group) > 1
+    ]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hbsim",
@@ -79,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="override the config seed")
     run_p.add_argument("--runs", type=int, help="override the number of runs")
     run_p.add_argument("--duration", type=float, help="override duration_s")
-    run_p.add_argument("--workers", type=int, help="parallel run workers")
+    run_p.add_argument("--workers", type=_positive_int, help="parallel run workers")
 
     sweep_p = sub.add_parser("sweep", help="grid sweep over sizes, rates, protocols")
     sweep_p.add_argument("--config", help="base config file (defaults otherwise)")
@@ -93,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seed", type=int)
     sweep_p.add_argument("--runs", type=int)
     sweep_p.add_argument("--duration", type=float)
-    sweep_p.add_argument("--workers", type=int)
+    sweep_p.add_argument("--workers", type=_positive_int)
 
     replay_p = sub.add_parser("replay", help="re-execute one run of a config")
     replay_p.add_argument("--config", required=True)
@@ -123,6 +151,12 @@ def cmd_sweep(args) -> int:
             print(f"hbsim: unknown protocol {kind!r}", file=sys.stderr)
             return 2
     configs = grid_configs(base, args.nodes, args.rates, args.protocol)
+    clashes = _fingerprint_clashes(configs)
+    if clashes:
+        print("hbsim: sweep cells would share an output directory:", file=sys.stderr)
+        for line in clashes:
+            print(f"  {line}", file=sys.stderr)
+        return 2
     results = []
     failed = 0
     for cfg in configs:

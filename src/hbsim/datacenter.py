@@ -29,6 +29,8 @@ sorted row.  That is about 33 B per subscription at n=10 000, k=100 and
 
 from __future__ import annotations
 
+import math
+import sys
 from array import array
 from bisect import bisect_left
 
@@ -59,7 +61,9 @@ class DataCenter:
       accounting.
 
     The switch is component index ``n`` in the load log; node components
-    are their own indices.  Protocol code in this package mutates the
+    are their own indices.  ``next_boundary`` is the first time of the
+    window after the current one, so a poll divides by the window width
+    only when it may have to rotate the log.  Protocol code in this package mutates the
     believed/observed rows directly; everything else must go through
     :meth:`apply_observation` and :meth:`set_liveness` so the incremental
     inconsistency count stays true.
@@ -114,6 +118,7 @@ class DataCenter:
         # windowed load log
         self.load_window_s = load_window_s
         self._win = 0
+        self.next_boundary = self._first_time_in_window(1)
         self._win_msgs = [0] * (n + 1)
         self._win_pay = [0] * (n + 1)
         self._load_rows: list[tuple[float, int, int, int]] = []
@@ -206,14 +211,44 @@ class DataCenter:
                 if pay[comp]:
                     pay[comp] = 0
 
+    def _first_time_in_window(self, win: int) -> float:
+        """The smallest float t with ``int(t / load_window_s) >= win``, or
+        inf when no finite t has it.
+
+        ``t / w`` rounds, so ``win * w`` can miss that time by an ulp either
+        way.  The rounded quotient never decreases as t grows, so stepping
+        one float at a time from ``win * w`` until the division's verdict
+        flips finds the time exactly, in a step or two.
+        """
+        w = self.load_window_s
+        t = win * w
+        if t == math.inf:
+            t = sys.float_info.max
+            if int(t / w) < win:
+                return math.inf
+        if int(t / w) >= win:
+            while int(t / w) >= win:
+                t = math.nextafter(t, -math.inf)
+            return math.nextafter(t, math.inf)
+        while int(t / w) < win:
+            t = math.nextafter(t, math.inf)
+        return t
+
     def advance_window(self, t: float) -> None:
-        """Rotate the current window forward so it contains time t."""
+        """Rotate the current window forward so it contains time t.
+
+        A poll calls this only once ``t >= next_boundary``, the first time
+        of the next window; the division here still decides the rotation.
+        """
         win = int(t / self.load_window_s)
+        if win <= self._win:
+            return
         while win > self._win:
             if self.pre_flush is not None:
                 self.pre_flush(self._win)
             self._flush_window()
             self._win += 1
+        self.next_boundary = self._first_time_in_window(win + 1)
 
     def message(self, sender: int, receiver: int, t: float,
                 payload_entries: int = 0) -> None:

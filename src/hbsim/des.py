@@ -10,7 +10,11 @@ on the guarantees made here:
   monotone counter), so replays are exact;
 * every distribution is derived from ``random.Random.random()`` alone,
   with the gamma and normal samplers pinned in this file, so draw
-  sequences are stable across runs and platforms;
+  sequences are stable across runs and platforms.  The one draw made
+  outside :class:`RngStream` is the per-event update delay: the
+  dispatcher in ``experiment.run_one`` computes it as
+  ``lo + (hi - lo) * random()`` on the update stream's generator, which
+  is :meth:`RngStream.uniform`'s arithmetic without the method call;
 * per-stream seeds are derived from a root seed by hashing
   ``root:run_index:name``, so streams never interfere.
 """
@@ -48,6 +52,9 @@ class Event(NamedTuple):
     action: tuple
 
 
+_new_event = tuple.__new__
+
+
 class EventQueue:
     """Time-ordered event queue with a FIFO tie-break and a monotone clock."""
 
@@ -67,7 +74,8 @@ class EventQueue:
             raise SchedulingError(f"delay must be a number >= 0, got {delay}")
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, Event(self.now + delay, seq, action))
+        # tuple.__new__ skips the NamedTuple constructor's Python frame
+        heappush(self._heap, _new_event(Event, (self.now + delay, seq, action)))
         return seq
 
     def peek(self) -> Event | None:
@@ -83,9 +91,9 @@ class EventQueue:
             raise SchedulingError(f"end_time {end_time} precedes now {self.now}")
         heap = self._heap
         processed = 0
-        while heap and heap[0].fire_time <= end_time:
+        while heap and heap[0][0] <= end_time:
             event = heappop(heap)
-            self.now = event.fire_time
+            self.now = event[0]
             try:
                 dispatcher(event)
             except Exception as exc:

@@ -271,7 +271,7 @@ def run_one(cfg: ExperimentConfig, run_index: int, failure_stream=None) -> RunOu
     poll = make_poller(dc, cfg.protocol, gv)
     probes: list[tuple[float, int]] = []
     failures: list[tuple[float, int, str, int]] = []
-    counters = [0]  # update polls executed (alive nodes only)
+    update_polls = 0  # update polls executed (alive nodes only)
 
     alive = dc.alive
     lo = cfg.update_min_s
@@ -280,24 +280,28 @@ def run_one(cfg: ExperimentConfig, run_index: int, failure_stream=None) -> RunOu
     duration = cfg.duration_s
     fail_cfg = cfg.failure
     schedule = queue.schedule
-    uniform = update_stream.uniform
+    # the update delay is RngStream.uniform(lo, hi) inlined: the same
+    # arithmetic on the same generator, so the draws are unchanged, and
+    # normalized() has already checked lo <= hi
+    draw = update_stream._rng.random
 
     def dispatch(event):
-        action = event.action
+        nonlocal update_polls
+        action = event[2]
         kind = action[0]
         if kind == "update":
             node = action[1]
             if alive[node]:
-                poll(node, event.fire_time)
-                counters[0] += 1
-            schedule(uniform(lo, hi), action)
+                poll(node, event[0])
+                update_polls += 1
+            schedule(lo + (hi - lo) * draw(), action)
         elif kind == "probe":
-            t = event.fire_time
+            t = event[0]
             probes.append((t, dc.inconsistent))
             if t + probe_interval <= duration:
                 schedule(probe_interval, PROBE_ACTION)
         else:
-            t = event.fire_time
+            t = event[0]
             effect, node = fire_failure(dc, fail_cfg, failure_stream, t)
             failures.append((t, node, effect, dc.inconsistent))
             schedule_next_failure(queue, shape, scale, failure_stream)
@@ -315,7 +319,7 @@ def run_one(cfg: ExperimentConfig, run_index: int, failure_stream=None) -> RunOu
         total_messages=dc.total_messages,
         total_payload_entries=dc.total_payload,
         failure_events=len(failures),
-        update_polls=counters[0],
+        update_polls=update_polls,
     )
     return RunOutput(run_index, probes, failures, load, summary)
 
@@ -402,9 +406,12 @@ def default_workers() -> int:
 def run_config(cfg: ExperimentConfig, workers: int | None = None):
     """Execute all runs of one config (in parallel when workers > 1) and
     aggregate them.  Returns (outputs, summary); outputs are ordered by
-    run index regardless of scheduling."""
+    run index regardless of scheduling.  ``workers`` below 1 raises
+    ValueError; None means one per CPU."""
     cfg = cfg.normalized()
     workers = default_workers() if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(0, cfg, r) for r in range(cfg.runs)]
     if workers > 1 and cfg.runs > 1:
         with ProcessPoolExecutor(max_workers=min(workers, cfg.runs)) as pool:

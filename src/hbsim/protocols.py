@@ -316,7 +316,8 @@ def _make_simple_poller(dc: DataCenter):
     def poll(i, now, _dc=dc, _subs=subs, _alive=dc.alive, _believed=dc.believed,
              _observed=dc.observed, _dead=dc.dead_targets, _upd=upd_counts,
              _wl=dc._win_msgs, _bad=dc.bad_count, _switch=switch):
-        _dc.advance_window(now)
+        if now >= _dc.next_boundary:
+            _dc.advance_window(now)
         subs_i = _subs[i]
         nb = [_alive[t] for t in subs_i]
         k = len(subs_i)
@@ -345,56 +346,52 @@ def _make_transitive_poller(dc: DataCenter, staleness_s: float):
     def poll(i, now, _dc=dc, _subs=dc.subs, _alive=dc.alive, _believed=dc.believed,
              _observed=dc.observed, _pairs=pairs, _wl=dc._win_msgs, _wp=dc._win_pay,
              _bad=dc.bad_count, _switch=dc.switch, _thr=staleness_s):
-        _dc.advance_window(now)
+        if now >= _dc.next_boundary:
+            _dc.advance_window(now)
         cut = now - _thr
         subs_i = _subs[i]
         bel_i = _believed[i]
         obs_i = _observed[i]
         prs = _pairs[i]
-        req = 0
-        resp = 0
+        traffic = 0  # the requester's messages: 2 per alive target, 1 per dead
         pay = 0
         entry_bad = _bad[i]
         bad = entry_bad
-        s = 0
-        for o in obs_i:
+        for s, o in enumerate(obs_i):
             if o < cut:
                 t = subs_i[s]
-                a = _alive[t]
-                req += 1
-                if bel_i[s] != a:
-                    bad -= 1
-                    bel_i[s] = a
                 obs_i[s] = now
-                if a:
-                    resp += 1
+                if _alive[t]:
+                    if not bel_i[s]:
+                        bad -= 1
+                        bel_i[s] = True
+                    traffic += 2
+                    _wl[t] += 2
                     p = prs[s]
-                    if p is None:
-                        _wl[t] += 2
-                    else:
+                    if p is not None:
                         obs_t = _observed[t]
-                        bel_t = _believed[t]
                         carried = 0
                         for j, m in p:
                             ob = obs_t[j]
                             if ob >= cut:
                                 carried += 1
                                 if ob > obs_i[m]:
-                                    v = bel_t[j]
+                                    v = _believed[t][j]
                                     if bel_i[m] != v:
                                         truth = _alive[subs_i[m]]
                                         bad += (v != truth) - (bel_i[m] != truth)
                                         bel_i[m] = v
                                     obs_i[m] = ob
-                        _wl[t] += 2
                         if carried:
                             _wp[t] += carried
                             pay += carried
                 else:
+                    if bel_i[s]:
+                        bad -= 1
+                        bel_i[s] = False
+                    traffic += 1
                     _wl[t] += 1
-            s += 1
-        if req:
-            traffic = req + resp
+        if traffic:
             _wl[i] += traffic
             _wl[_switch] += traffic
             _dc.total_messages += traffic
@@ -558,7 +555,8 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
         subs_i = _subs[i]
         if not subs_i:
             return
-        _dc.advance_window(now)
+        if now >= _dc.next_boundary:
+            _dc.advance_window(now)
         s = _home[i]
         k = len(subs_i)
         if s == i:

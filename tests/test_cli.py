@@ -115,3 +115,42 @@ def test_unknown_protocol_in_sweep(cfg_file, capsys):
     assert main(["sweep", "--config", str(cfg_file), "--nodes", "20",
                  "--rates", "1", "--protocol", "carrier_pigeon"]) == 2
     assert "unknown protocol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    ["--nodes", "20", "--rates", "1,1.0000001", "--protocol", "simple_p2p"],
+    ["--nodes", "20", "--rates", "1,1", "--protocol", "simple_p2p"],
+    ["--nodes", "20,20", "--rates", "1", "--protocol", "simple_p2p"],
+], ids=["rates-round-alike", "rate-twice", "size-twice"])
+def test_sweep_refuses_cells_sharing_an_output_directory(cfg_file, tmp_path, capsys, grid):
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_file), *grid, "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "n20-r1-simple_p2p: (nodes=20, rate=1.0" in captured.err
+    assert captured.out == ""    # refused before any cell ran
+    assert not out_dir.exists()
+
+
+def test_sweep_names_only_the_clashing_cells(cfg_file, capsys):
+    assert main(["sweep", "--config", str(cfg_file), "--nodes", "20",
+                 "--rates", "1,1.0000001,2", "--protocol", "simple_p2p,transitive_p2p"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[1:] == [
+        "  n20-r1-simple_p2p: (nodes=20, rate=1.0, protocol=simple_p2p), "
+        "(nodes=20, rate=1.0000001, protocol=simple_p2p)",
+        "  n20-r1-transitive_p2p: (nodes=20, rate=1.0, protocol=transitive_p2p), "
+        "(nodes=20, rate=1.0000001, protocol=transitive_p2p)",
+    ]
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_workers_below_one_exit_2(cfg_file, tmp_path, capsys, command, workers):
+    argv = {"run": ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")],
+            "sweep": ["sweep", "--config", str(cfg_file), "--nodes", "20", "--rates", "1",
+                      "--protocol", "simple_p2p"]}[command]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, f"--workers={workers}"])
+    assert err.value.code == 2
+    assert f"argument --workers: must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -1,9 +1,12 @@
 import gc
+import math
 import random
 import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbsim.datacenter import DataCenter, NotSubscribedError, build_datacenter
 from hbsim.des import RngStream
@@ -298,3 +301,71 @@ def test_payload_entries_tracked_separately():
     rows = dc.finish_load(1.0)
     assert rows == [(0.0, 0, 1, 4), (0.0, 1, 1, 4), (0.0, 2, 1, 4)]
     assert dc.total_payload == 4
+
+
+# -- cached window boundary -------------------------------------------------
+
+WINDOWS = (1e-3, 0.1, 0.3, 1 / 3, 7.3, 10.0)
+
+
+@st.composite
+def window_and_times(draw):
+    """A window width and nondecreasing times that hit its boundaries: exact
+    ``k*w`` products, the floats next to them, and arbitrary times between."""
+    w = draw(st.sampled_from(WINDOWS) | st.floats(1e-3, 100.0))
+    k = st.integers(0, 20)  # few windows, so boundaries repeat often
+    exact = st.builds(lambda k: k * w, k)
+    below = st.builds(lambda k: math.nextafter(k * w, -math.inf), k)
+    above = st.builds(lambda k: math.nextafter(k * w, math.inf), k)
+    anywhere = st.floats(0.0, 20 * w)
+    times = draw(st.lists(exact | below | above | anywhere, max_size=80))
+    return w, sorted(max(t, 0.0) for t in times)
+
+
+def window_log(w):
+    """A two-node centre whose pre_flush records every rotation it sees."""
+    dc = DataCenter([[1], [0]], load_window_s=w)
+    flushed = []
+    dc.pre_flush = flushed.append
+    return dc, flushed
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_and_times())
+def test_guarded_rotation_matches_rotating_every_time(case):
+    w, times = case
+    every, every_flushed = window_log(w)
+    guarded, guarded_flushed = window_log(w)
+    for step, t in enumerate(times):
+        every.advance_window(t)
+        if t >= guarded.next_boundary:
+            guarded.advance_window(t)
+        # the boundary is the first float of the next window, exactly
+        nb = guarded.next_boundary
+        assert int(nb / w) > guarded._win
+        assert int(math.nextafter(nb, -math.inf) / w) <= guarded._win
+        for dc in (every, guarded):
+            dc._win_msgs[step % 3] += 1
+        assert guarded._win == every._win
+        assert guarded._load_rows == every._load_rows
+        assert guarded_flushed == every_flushed
+    end = times[-1] if times else 0.0
+    assert guarded.finish_load(end) == every.finish_load(end)
+
+
+@pytest.mark.parametrize("w", WINDOWS)
+def test_window_boundary_is_the_first_float_of_its_window(w):
+    dc = DataCenter([[1], [0]], load_window_s=w)
+    for win in range(1, 5000):
+        t = dc._first_time_in_window(win)
+        assert int(t / w) >= win
+        assert int(math.nextafter(t, -math.inf) / w) < win
+
+
+def test_window_boundary_past_the_largest_float_is_inf():
+    dc = DataCenter([[1], [0]], load_window_s=1e308)
+    assert dc.next_boundary == 1e308
+    dc.message(0, 1, t=1.0)
+    assert dc.finish_load(1.0) == [(0.0, 0, 1, 0), (0.0, 1, 1, 0), (0.0, 2, 1, 0)]
+    # 2e308 overflows, and no finite time divides to window 2
+    assert dc.next_boundary == math.inf

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hbsim.des import (
     DispatchError,
     EmptyTallyError,
+    Event,
     EventQueue,
     RngStream,
     SchedulingError,
@@ -106,6 +107,55 @@ def test_dispatcher_fault_identifies_event():
     with pytest.raises(DispatchError) as err:
         q.run(10.0, dispatch)
     assert err.value.event.action == ("bad",)
+
+
+def test_queue_holds_and_dispatches_event_instances():
+    q = EventQueue()
+    q.schedule(1.0, ("a",))
+    q.schedule(0.5, ("b",))
+    assert all(type(entry) is Event for entry in q._heap)
+    assert type(q.peek()) is Event
+    assert q.peek() == Event(0.5, 1, ("b",))
+    seen = []
+    q.run(0.5, lambda ev: seen.append(ev))
+    assert [type(ev) for ev in seen] == [Event]
+    assert seen[0].fire_time == 0.5 and seen[0].action == ("b",)
+
+    def dispatch(ev):
+        raise RuntimeError("boom")
+
+    with pytest.raises(DispatchError) as err:
+        q.run(2.0, dispatch)
+    assert type(err.value.event) is Event
+    assert err.value.event == Event(1.0, 0, ("a",))
+
+
+def test_pop_order_is_fire_time_then_seq_on_a_schedule_with_ties():
+    # delays on a coarse grid make many equal fire times, and the dispatcher
+    # schedules more (some with zero delay) while the queue drains
+    q = EventQueue()
+    stream = RngStream("ties", 7)
+    scheduled = []
+
+    def schedule(delay, action):
+        seq = q.schedule(delay, action)
+        scheduled.append((q.now + delay, seq))
+
+    popped = []
+
+    def dispatch(ev):
+        popped.append((ev.fire_time, ev.seq))
+        if len(scheduled) < 2000:
+            for _ in range(stream.index(3)):
+                schedule(0.25 * stream.index(5), ("more",))
+
+    for i in range(50):
+        schedule(0.25 * stream.index(8), ("seed", i))
+    end = 40.0
+    q.run(end, dispatch)
+    assert len(set(t for t, _ in popped)) < len(popped)  # ties did occur
+    assert popped == sorted(entry for entry in scheduled if entry[0] <= end)
+    assert all(entry[0] > end for entry in q._heap)
 
 
 def test_clock_monotone_under_random_script():

@@ -307,6 +307,12 @@ def test_run_sweep_order_independent():
     assert sorted(map(str, forward)) == sorted(map(str, backward))
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_config_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        run_config(small_cfg(), workers=workers)
+
+
 def test_run_config_parallel_equals_serial():
     cfg = small_cfg(runs=4, failure=FailureConfig(rate_pct_per_min=8.0))
     serial, sum_serial = run_config(cfg, workers=1)
@@ -346,6 +352,19 @@ GOLDEN_SERVED_SHA256 = {
 }
 
 
+# SHA-256 of each table of one pinned simple_p2p config with a 0.3 s load
+# window.  0.3 is no binary fraction: the log rotates 100 times a run, and at
+# some boundaries (k = 19, 31, 33, ...) the product ``k * 0.3`` falls a float
+# away from the first time that ``t / 0.3`` puts in window k.  Recorded before
+# polls cached the next window boundary, when every poll divided.
+GOLDEN_SIMPLE_SHA256 = {
+    "probes.csv": "5a6bd8ab658e53caeb9b8c64ad0dbd3b7e8f363e902c6f01422d95d300d5f4e2",
+    "failures.csv": "c498059e34f5fcb2fc88ca907d41570104426a18614fbb9e3673d933532de4d3",
+    "load.csv": "e5babe7fc697793a055e8a2c40df78fd78ab65a637e6c46b164f5ff073ffa259",
+    "summary.csv": "e7d379be700a0315296e8cabd59cb8e9d69b630366a701642ac1f22aa72ef562",
+}
+
+
 def table_digests(cfg, tmp_path):
     outputs, summary = run_config(cfg, workers=1)
     paths = write_outputs(outputs, summary, tmp_path)
@@ -358,6 +377,13 @@ def test_transitive_outputs_match_golden_bytes(tmp_path):
                            protocol=ProtocolConfig(kind="transitive_p2p"),
                            failure=FailureConfig(rate_pct_per_min=1.0))
     assert table_digests(cfg, tmp_path) == GOLDEN_TRANSITIVE_SHA256
+
+
+def test_simple_outputs_match_golden_bytes(tmp_path):
+    cfg = ExperimentConfig(nodes=1000, duration_s=30.0, runs=2, seed=42, load_window_s=0.3,
+                           protocol=ProtocolConfig(kind="simple_p2p"),
+                           failure=FailureConfig(rate_pct_per_min=1.0))
+    assert table_digests(cfg, tmp_path) == GOLDEN_SIMPLE_SHA256
 
 
 @pytest.mark.parametrize("protocol", [
