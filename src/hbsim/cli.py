@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 from .experiment import (
@@ -22,6 +23,7 @@ from .experiment import (
     parse_config,
     run_config,
     run_one,
+    run_sweep,
 )
 from .outputs import (
     SUMMARY_HEADER,
@@ -157,20 +159,14 @@ def cmd_sweep(args) -> int:
         for line in clashes:
             print(f"  {line}", file=sys.stderr)
         return 2
-    results = []
-    failed = 0
-    for cfg in configs:
-        try:
-            outputs, summary = run_config(cfg, workers=args.workers)
-        except Exception as exc:  # noqa: BLE001 - keep the rest of the grid alive
-            print(f"hbsim: sweep config {cfg.fingerprint()} failed: {exc}", file=sys.stderr)
-            failed += 1
-            continue
-        results.append((cfg, outputs, summary))
+    cells = run_sweep(configs, workers=args.workers)
     if args.out:
-        write_sweep_outputs(results, args.out)
-    _print_summaries([summary for _, _, summary in results])
-    return 1 if failed else 0
+        summaries = write_sweep_outputs(cells, args.out)
+    else:
+        # map drops each cell as soon as its summary is taken
+        summaries = list(map(itemgetter(2), cells))
+    _print_summaries(summaries)
+    return 1 if len(summaries) < len(configs) else 0
 
 
 def cmd_replay(args) -> int:

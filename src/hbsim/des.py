@@ -203,6 +203,18 @@ class RngStream:
                 return d * v * scale
 
 
+def gamma_draws_vanish(shape: float) -> bool:
+    """Whether :meth:`RngStream.gamma` at ``shape`` returns exactly 0.0
+    except when ``random()`` returns exactly 0.0, a chance of 2**-53.
+
+    Below shape 1 every draw is multiplied by ``(1 - random()) ** (1 /
+    shape)``.  ``random()`` returns multiples of 2**-53, so the largest base
+    below 1 is the largest float below 1; when even that power underflows
+    to 0, so does every other one.
+    """
+    return shape < 1.0 and math.nextafter(1.0, 0.0) ** (1.0 / shape) == 0.0
+
+
 class TallySummary(NamedTuple):
     count: int
     mean: float

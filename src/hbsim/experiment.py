@@ -22,12 +22,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .datacenter import build_datacenter
-from .des import EventQueue, RngStream, Tally, derive_stream_seed
+from .des import EventQueue, RngStream, Tally, derive_stream_seed, gamma_draws_vanish
 from .failure import (
     FailureConfig,
     REPAIR_POLICIES,
     fire_failure,
     gamma_params_for_rate,
+    mean_failure_gap,
     schedule_next_failure,
 )
 from .protocols import (
@@ -83,6 +84,9 @@ class ExperimentConfig:
         cfg = replace(self)
         if cfg.nodes < 1:
             raise ConfigError(f"nodes must be >= 1, got {cfg.nodes}")
+        if cfg.nodes > sys.float_info.max:
+            # the sqrt default and the failure gap take nodes as a float
+            raise ConfigError(f"nodes must not exceed the largest float, {sys.float_info.max}")
         if cfg.subscriptions is None:
             # sqrt default; the clamp only matters for a one-node centre
             cfg.subscriptions = min(round(math.sqrt(cfg.nodes)), cfg.nodes - 1)
@@ -119,10 +123,37 @@ class ExperimentConfig:
                     f"at duration_s={cfg.duration_s}")
         if not 0 < cfg.load_window_s < math.inf:
             raise ConfigError(f"load_window_s must be positive and finite, got {cfg.load_window_s}")
+        if cfg.failure.rate_pct_per_min > 0:
+            _check_failure_gaps(cfg)
         return cfg
 
     def fingerprint(self) -> str:
         return fingerprint(self.nodes, self.failure.rate_pct_per_min, self.protocol.kind)
+
+
+def _check_failure_gaps(cfg: ExperimentConfig) -> None:
+    """Reject failure settings whose gaps cannot move the clock: like the
+    probe and update intervals, the mean gap must advance it at
+    duration_s, and the gamma sampler must not draw only zeros."""
+    rate = cfg.failure.rate_pct_per_min
+    gap = mean_failure_gap(cfg.nodes, cfg.failure)
+    if not gap < math.inf:
+        raise ConfigError(
+            f"failure_rate_pct_per_min={rate} is too small: the mean failure gap "
+            f"at nodes={cfg.nodes} is not a finite number of seconds")
+    if cfg.duration_s + gap == cfg.duration_s:
+        raise ConfigError(
+            f"failure_rate_pct_per_min={rate} is too large: the mean failure gap {gap} s "
+            f"at nodes={cfg.nodes} cannot advance the clock at duration_s={cfg.duration_s}")
+    shape, scale = gamma_params_for_rate(cfg.nodes, cfg.failure)
+    if not scale < math.inf:
+        raise ConfigError(
+            f"gamma_shape={shape} is too small: the gamma scale, mean gap {gap} s "
+            f"/ gamma_shape, is not finite")
+    if gamma_draws_vanish(shape):
+        raise ConfigError(
+            f"gamma_shape={shape} is too small: the gamma sampler draws every "
+            f"failure gap as 0 s, so the clock never advances")
 
 
 # config file keys -> (section, attribute, parser)
@@ -422,23 +453,27 @@ def run_config(cfg: ExperimentConfig, workers: int | None = None):
     return outputs, aggregate(cfg, outputs)
 
 
-def run_sweep(configs, workers: int | None = None) -> list[SweepSummary]:
-    """Run every config and aggregate each; order follows the input.
+def run_sweep(configs, workers: int | None = None):
+    """Run every config through ``run_config``, one after another, and
+    yield ``(cfg, outputs, summary)`` for each as soon as it finishes.
 
-    A failing run aborts only its own config's summary (the diagnostic
-    goes to stderr); the other configs still complete.  Results do not
-    depend on scheduling or worker count.
+    Order follows the input, and results do not depend on scheduling or
+    worker count.  Nothing runs until the first cell is asked for.  A
+    failing config (a run that raises, or a pool worker that dies) prints
+    one line to stderr and yields nothing; the other configs still run.
+    The generator drops its own reference to a cell's outputs before it
+    starts the next config, so a consumer that drops them too holds at
+    most one cell's runs at a time.
     """
-    summaries = []
     for cfg in configs:
         try:
-            _, summary = run_config(cfg, workers=workers)
+            outputs, summary = run_config(cfg, workers=workers)
         except Exception as exc:  # noqa: BLE001 - isolate per-config failures
             label = cfg.fingerprint() if isinstance(cfg, ExperimentConfig) else repr(cfg)
             print(f"hbsim: sweep config {label} failed: {exc}", file=sys.stderr)
             continue
-        summaries.append(summary)
-    return summaries
+        yield cfg, outputs, summary
+        del outputs
 
 
 def grid_configs(base: ExperimentConfig, nodes_list, rates, protocols) -> list[ExperimentConfig]:

@@ -56,8 +56,13 @@ def gamma_params_for_rate(n: int, cfg: FailureConfig) -> tuple[float, float]:
         raise ValueError("n must be >= 1")
     if cfg.rate_pct_per_min <= 0:
         raise ValueError("no gamma parameters for a zero failure rate")
-    mean_gap = 60.0 / (n * cfg.rate_pct_per_min / 100.0)
-    return cfg.gamma_shape, mean_gap / cfg.gamma_shape
+    return cfg.gamma_shape, mean_failure_gap(n, cfg) / cfg.gamma_shape
+
+
+def mean_failure_gap(n: int, cfg: FailureConfig) -> float:
+    """60 / (n * rate/100) seconds; inf when ``n * rate/100`` underflows to 0."""
+    per_min = n * cfg.rate_pct_per_min / 100.0
+    return 60.0 / per_min if per_min > 0 else math.inf
 
 
 def schedule_next_failure(queue: EventQueue, shape: float, scale: float,

@@ -81,19 +81,25 @@ def write_summary_csv(summaries: list[SweepSummary], path: str | os.PathLike) ->
                         (summary_row(s) for s in summaries))
 
 
-def write_sweep_outputs(results, out_dir: str | os.PathLike) -> Path:
-    """Write a whole sweep: results is a list of (config, outputs, summary).
+def write_sweep_outputs(cells, out_dir: str | os.PathLike) -> list[SweepSummary]:
+    """Write a sweep as its cells arrive; returns their summaries in order.
 
-    Per-config tables land in ``out_dir/<fingerprint>/``; the combined
-    summary.csv lands at the top level.
+    ``cells`` yields ``(config, outputs, summary)`` per config, as
+    ``run_sweep`` does.  Each cell's tables land in ``out_dir/<fingerprint>/``
+    as soon as it arrives, and its outputs are dropped before the next cell
+    is asked for.  The combined summary.csv lands at the top level once
+    ``cells`` is exhausted, so an interrupted sweep leaves the finished
+    cells' tables but no summary.csv.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summaries = []
-    for cfg, outputs, summary in results:
+    for _, outputs, summary in cells:
         write_outputs(outputs, summary, out / summary.fingerprint())
         summaries.append(summary)
-    return write_summary_csv(summaries, out / SUMMARY_CSV)
+        del outputs
+    write_summary_csv(summaries, out / SUMMARY_CSV)
+    return summaries
 
 
 # -- plot-ready views ------------------------------------------------------

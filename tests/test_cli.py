@@ -1,5 +1,12 @@
+import functools
+import gc
+import hashlib
+import os
+import weakref
+
 import pytest
 
+import hbsim.experiment as experiment
 from hbsim.cli import main
 from hbsim.outputs import read_probe_rows, read_summaries
 
@@ -61,6 +68,64 @@ def test_sweep_grid_cardinality(cfg_file, tmp_path, capsys):
     assert stdout.count("\n") == 9  # header + 8 rows
 
 
+# SHA-256 of every file a small sweep writes (relative path -> digest), and
+# of what it prints.  Recorded when ``hbsim sweep`` still kept every cell's
+# runs until the end of the grid, before it wrote each cell as it finished.
+GOLDEN_SWEEP_SHA256 = {
+    "n100-r2-simple_p2p/failures.csv": "350a62e08e6eb4416b3e52e08424088d39ec3af035625774187b6247c7a281cd",
+    "n100-r2-simple_p2p/load.csv": "1d9ee4fdc76d9dde25e4d6cd46af09909f16386c6f984b1b75e9f7710d23a10b",
+    "n100-r2-simple_p2p/probes.csv": "fccc5478686034c85f5c4f095acedeaf1720e5368a084341ba97d46d3d3f13ed",
+    "n100-r2-simple_p2p/summary.csv": "459fb08c287b274dc19a42c93b4336afb97f90fc13d8bd3c4878367009fbed97",
+    "n100-r2-transitive_p2p/failures.csv": "350a62e08e6eb4416b3e52e08424088d39ec3af035625774187b6247c7a281cd",
+    "n100-r2-transitive_p2p/load.csv": "147715eba31ca47c31ad11bc07c31a7d001011d782a3b35b06a110f32a853a7c",
+    "n100-r2-transitive_p2p/probes.csv": "7a31f5c36c5652dc41229c785446fd9b390a9ddcebc084addc2b5200b51a9a63",
+    "n100-r2-transitive_p2p/summary.csv": "d974d5a4526f89b8ec370f745a771d5872ef2c4eea313cf625a5f97be04c9620",
+    "n100-r20-simple_p2p/failures.csv": "f046ee6aba10ad79a56b7f9c79f1a50bfe831558a6b22c0925376674ba141a44",
+    "n100-r20-simple_p2p/load.csv": "e0970547997db29cdd7befb6281d20c06f562d128340f283298290edf13e498c",
+    "n100-r20-simple_p2p/probes.csv": "985ef85daa251df37f0cd6d290474901e83ba404f6911f026538d4a8a92e16ea",
+    "n100-r20-simple_p2p/summary.csv": "ae40bf834f6aff71d58d65d678db581891e1e0d37360bfabb4a046dea74699ad",
+    "n100-r20-transitive_p2p/failures.csv": "65699f43b13e8c4484498d035f5bd171ecb557a4a7f6b78d73b90750aaf45904",
+    "n100-r20-transitive_p2p/load.csv": "8122f59a4787448210802e4aa5f94464a0a9347b8e8bc67b0a67ac34832502e4",
+    "n100-r20-transitive_p2p/probes.csv": "ec2e0c1cc65d00759bfd966f63940fed99499351edb6d5e90c1b95c5a8f3df64",
+    "n100-r20-transitive_p2p/summary.csv": "8f7f40a1ba8d6a4286de6c8cbe1ff4a5fdce3afb8b125934d3ad5ae53496eaef",
+    "n30-r2-simple_p2p/failures.csv": "0152aaabbc1f974ffec2bd49ad77ae986aacc0ab11f51cdc59b4a32a6686d02c",
+    "n30-r2-simple_p2p/load.csv": "d274bf191a70468f145c49401e10cf29a37cbfb81835303d09fd9a2ee0031c84",
+    "n30-r2-simple_p2p/probes.csv": "5743f5fcdd6696d7339fcf08b83715a40787d7820ceb7788d67ea0b6d994e990",
+    "n30-r2-simple_p2p/summary.csv": "0174da6e3d3f367651b5b02a1bbab372648108b5a9c99068272d6da5fcab5fcb",
+    "n30-r2-transitive_p2p/failures.csv": "0152aaabbc1f974ffec2bd49ad77ae986aacc0ab11f51cdc59b4a32a6686d02c",
+    "n30-r2-transitive_p2p/load.csv": "d4487672a0b9e8e9886271babab90517a3c56e9a92672b36a97264d6bf1d2e24",
+    "n30-r2-transitive_p2p/probes.csv": "5743f5fcdd6696d7339fcf08b83715a40787d7820ceb7788d67ea0b6d994e990",
+    "n30-r2-transitive_p2p/summary.csv": "8e9bab4dbe2db3ea3f1b1531e3d5ba4eef47835385ea37df6512377038a74256",
+    "n30-r20-simple_p2p/failures.csv": "820738e1811b1b85bffd18bf1160bd9249b021adb0c12bfaf035874cc98b51fb",
+    "n30-r20-simple_p2p/load.csv": "390cab26c0efc435964f6025f2a46e9733b1110346e5dc26c01d3ab094fe5a00",
+    "n30-r20-simple_p2p/probes.csv": "b5f452649de00fe906e50ab45e4bf70fe0b079fc9a7fea8947a3fdc66df2634e",
+    "n30-r20-simple_p2p/summary.csv": "394b386d0150e8400d8a70bb1ce36fcdbe2da774ac998d594c5905b1fb284612",
+    "n30-r20-transitive_p2p/failures.csv": "3a045643c2dea7263b6f4687b180af7a37a64e1ce0ef8bd4896430b8266e1525",
+    "n30-r20-transitive_p2p/load.csv": "369ec30747f4d76eb58e83a4e2aab2e1e3eddef24e1917d8f0a8e574b68a4512",
+    "n30-r20-transitive_p2p/probes.csv": "8a37292c9bbb9b1eadb508c5b5837a82769a5028cfc58a9e4f0e6350a2c098d1",
+    "n30-r20-transitive_p2p/summary.csv": "0d39d6b108bd484453521fed1fb8f10deada726bcc84b722af2ef1fec569e64a",
+    "summary.csv": "3bc433e6ba93be00728ff77c5e1d45935cddece5107cd9df93a1d7c2eee27848",
+}
+GOLDEN_SWEEP_STDOUT_SHA256 = "3bc433e6ba93be00728ff77c5e1d45935cddece5107cd9df93a1d7c2eee27848"
+
+SMALL_SWEEP = ["sweep", "--nodes", "30,100", "--rates", "2,20",
+               "--protocol", "simple_p2p,transitive_p2p", "--runs", "2",
+               "--duration", "20", "--seed", "42"]
+
+
+def file_digests(root):
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_sweep_outputs_match_golden_bytes(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert main([*SMALL_SWEEP, "--workers", "2", "--out", str(out_dir)]) == 0
+    assert file_digests(out_dir) == GOLDEN_SWEEP_SHA256
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SWEEP_STDOUT_SHA256
+
+
 def test_replay_reproduces_single_run(cfg_file, tmp_path):
     full = tmp_path / "full"
     main(["run", "--config", str(cfg_file), "--out", str(full)])
@@ -111,6 +176,13 @@ def test_config_error_reported_with_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_oversized_node_count_is_a_config_error(tmp_path, capsys):
+    huge = tmp_path / "huge.cfg"
+    huge.write_text("nodes=" + "9" * 400 + "\n", encoding="utf-8")
+    assert main(["run", "--config", str(huge), "--out", str(tmp_path / "o")]) == 1
+    assert "config error: nodes must not exceed" in capsys.readouterr().err
+
+
 def test_unknown_protocol_in_sweep(cfg_file, capsys):
     assert main(["sweep", "--config", str(cfg_file), "--nodes", "20",
                  "--rates", "1", "--protocol", "carrier_pigeon"]) == 2
@@ -154,3 +226,59 @@ def test_workers_below_one_exit_2(cfg_file, tmp_path, capsys, command, workers):
     assert err.value.code == 2
     assert f"argument --workers: must be >= 1, got {workers}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("write", [True, False], ids=["out", "dry"])
+def test_sweep_holds_one_cell_at_a_time(monkeypatch, tmp_path, workers, write):
+    real = experiment.run_config
+    earlier = []      # weak references to every RunOutput of finished cells
+    starts = []
+
+    def run_config(cfg, workers=None):
+        gc.collect()
+        starts.append(sum(ref() is not None for ref in earlier))
+        outputs, summary = real(cfg, workers=workers)
+        earlier.extend(weakref.ref(out) for out in outputs)
+        return outputs, summary
+
+    monkeypatch.setattr(experiment, "run_config", run_config)
+    argv = [*SMALL_SWEEP, "--workers", workers]
+    if write:
+        argv += ["--out", str(tmp_path / "sweep")]
+    assert main(argv) == 0
+    assert len(starts) == 8 and len(earlier) == 16
+    assert starts == [0] * 8   # no earlier cell's run is alive when a cell starts
+
+
+def test_a_dead_worker_fails_only_its_own_cell(monkeypatch, tmp_path, capsys):
+    real = experiment._run_task
+
+    @functools.wraps(real)    # pickled by name, so pool workers find this one
+    def run_task(payload):
+        _, cfg, _ = payload
+        if cfg.fingerprint() == "n30-r20-transitive_p2p":
+            os._exit(1)
+        return real(payload)
+
+    monkeypatch.setattr(experiment, "_run_task", run_task)
+    out_dir = tmp_path / "sweep"
+    assert main([*SMALL_SWEEP, "--workers", "2", "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("hbsim: sweep config n30-r20-transitive_p2p failed: ")
+    digests = file_digests(out_dir)
+    expected = {name: digest for name, digest in GOLDEN_SWEEP_SHA256.items()
+                if "/" in name and not name.startswith("n30-r20-transitive_p2p/")}
+    assert {name: digests[name] for name in digests if "/" in name} == expected
+    # the combined table lists every other cell, in grid order, with the
+    # row that cell's own (golden) summary.csv holds
+    cells = ["n30-r2-simple_p2p", "n30-r2-transitive_p2p", "n30-r20-simple_p2p",
+             "n100-r2-simple_p2p", "n100-r2-transitive_p2p",
+             "n100-r20-simple_p2p", "n100-r20-transitive_p2p"]
+    rows = [(out_dir / cell / "summary.csv").read_text(encoding="utf-8").splitlines()
+            for cell in cells]
+    combined = (out_dir / "summary.csv").read_text(encoding="utf-8").splitlines()
+    assert combined == [rows[0][0]] + [row[1] for row in rows]
+    assert captured.out.splitlines() == combined

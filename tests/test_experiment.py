@@ -1,10 +1,13 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbsim.datacenter import build_datacenter
-from hbsim.des import RngStream, derive_stream_seed
+from hbsim.des import RngStream, derive_stream_seed, gamma_draws_vanish
 from hbsim.experiment import (
+    _CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     aggregate,
@@ -112,6 +115,79 @@ def test_invalid_cross_field_invariants():
 def test_parse_rejects_non_finite_and_stalling_values(line):
     with pytest.raises(ConfigError):
         parse_config(f"nodes=10\n{line}\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    # the sqrt subscription default cannot take this as a float
+    pytest.param("nodes=" + "9" * 400, "nodes", id="nodes=400-nines"),
+    # a mean failure gap of 1.2e-298 s cannot move the clock
+    pytest.param("nodes=50\nfailure_rate_pct_per_min=1e300", "failure_rate_pct_per_min",
+                 id="failure_rate_pct_per_min=1e300"),
+    # n * rate / 100 underflows to 0: the mean gap is a division by zero
+    pytest.param("nodes=50\nfailure_rate_pct_per_min=5e-324", "failure_rate_pct_per_min",
+                 id="failure_rate_pct_per_min=5e-324"),
+    # every gamma draw is exactly 0.0
+    pytest.param("nodes=50\nfailure_rate_pct_per_min=1\ngamma_shape=1e-300", "gamma_shape",
+                 id="gamma_shape=1e-300"),
+    # the scale, mean gap / shape, overflows to inf and a draw becomes nan
+    pytest.param("nodes=50\nfailure_rate_pct_per_min=1\ngamma_shape=1e-320", "gamma_shape",
+                 id="gamma_shape=1e-320"),
+])
+def test_parse_rejects_values_that_crash_or_hang_naming_the_key(text, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text + "\n")
+
+
+def test_mean_failure_gap_must_advance_the_clock_at_duration():
+    # at nodes=50 the mean gap is 120 / rate seconds, exact for these powers
+    # of two; one ulp of 3600 is 2**-41, so a gap of 2**-40 advances the
+    # clock and 2**-43 does not
+    parse_config(f"nodes=50\nduration_s=3600\nfailure_rate_pct_per_min={120 * 2.0 ** 40}\n")
+    with pytest.raises(ConfigError, match="failure_rate_pct_per_min"):
+        parse_config(f"nodes=50\nduration_s=3600\nfailure_rate_pct_per_min={120 * 2.0 ** 43}\n")
+
+
+@pytest.mark.parametrize("shape", [1e-300, 1e-19, 1.4e-19])
+def test_rejected_gamma_shapes_draw_only_zeros(shape):
+    assert gamma_draws_vanish(shape)
+    stream = RngStream("failure", 42)
+    assert all(stream.gamma(shape, 1e300) == 0.0 for _ in range(200))
+    with pytest.raises(ConfigError, match="gamma_shape"):
+        parse_config(f"nodes=50\nfailure_rate_pct_per_min=1\ngamma_shape={shape}\n")
+
+
+@pytest.mark.parametrize("shape", [1.6e-19, 1e-3, 0.5, 1.0, 2.0])
+def test_accepted_gamma_shapes_keep_the_largest_boost(shape):
+    # the largest base below 1 keeps a nonzero boost, so a draw can be > 0
+    assert not gamma_draws_vanish(shape)
+    parse_config(f"nodes=50\nfailure_rate_pct_per_min=1\ngamma_shape={shape}\n")
+
+
+# value strings for the property below: ints, the float specials, subnormals,
+# huge and tiny numbers, and junk
+_VALUE_STRINGS = st.one_of(
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30).map(str),
+    st.integers(min_value=0, max_value=4000).map(lambda digits: "9" * digits),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "5e-324", "1e-320", "2.2e-308",
+                     "1e-300", "1e300", "1.7976931348623157e308", "1e400", "9" * 400,
+                     "0", "1", "", "x", "1,5", "0x10", "1_000", "simple_p2p", "central",
+                     "hierarchical", "transitive_p2p", "toggle_repair", "no_repair"]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.fixed_dictionaries(
+    {"nodes": st.one_of(st.integers(min_value=1, max_value=10 ** 6).map(str), _VALUE_STRINGS)},
+    optional={key: _VALUE_STRINGS for key in _CONFIG_KEYS if key != "nodes"}))
+def test_parse_config_returns_a_config_or_raises_config_error(values):
+    text = "".join(f"{key}={value}\n" for key, value in values.items())
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 # -- run initialisation -------------------------------------------------------
@@ -302,8 +378,8 @@ def test_grid_configs_cardinality_and_defaults():
 def test_run_sweep_order_independent():
     base = ExperimentConfig(nodes=30, subscriptions=5, duration_s=20.0, runs=2, seed=5)
     grid = grid_configs(base, [30], [2.0, 20.0], ["simple_p2p", "transitive_p2p"])
-    forward = run_sweep(grid, workers=1)
-    backward = run_sweep(list(reversed(grid)), workers=1)
+    forward = [summary for _, _, summary in run_sweep(grid, workers=1)]
+    backward = [summary for _, _, summary in run_sweep(list(reversed(grid)), workers=1)]
     assert sorted(map(str, forward)) == sorted(map(str, backward))
 
 
@@ -409,7 +485,7 @@ def test_run_sweep_isolates_failing_config(monkeypatch, capsys):
     monkeypatch.setattr(experiment, "run_one", flaky)
     good = small_cfg()
     bad = small_cfg(nodes=666, subscriptions=4)
-    summaries = experiment.run_sweep([bad, good], workers=1)
+    summaries = [summary for _, _, summary in experiment.run_sweep([bad, good], workers=1)]
     assert len(summaries) == 1
     assert summaries[0].nodes == good.nodes
     assert "failed" in capsys.readouterr().err
