@@ -63,9 +63,13 @@ def _print_summaries(summaries) -> None:
 def _csv_list(parser_fn, what):
     def parse(text: str):
         try:
-            return [parser_fn(part) for part in text.split(",") if part != ""]
+            values = [parser_fn(part) for part in text.split(",") if part != ""]
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad {what} list: {text!r}") from None
+        if not values:
+            # an empty grid would run no cell and still report success
+            raise argparse.ArgumentTypeError(f"empty {what} list: {text!r}")
+        return values
     return parse
 
 

@@ -33,6 +33,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
+from itertools import compress
 
 from .des import RngStream
 
@@ -203,13 +204,12 @@ class DataCenter:
         pay = self._win_pay
         start = self._win * self.load_window_s
         rows = self._load_rows
-        for comp in range(self.n + 1):
-            m = msgs[comp]
-            if m:
-                rows.append((start, comp, m, pay[comp]))
-                msgs[comp] = 0
-                if pay[comp]:
-                    pay[comp] = 0
+        # compress() skips the quiet components in C
+        for comp in compress(range(self.n + 1), msgs):
+            rows.append((start, comp, msgs[comp], pay[comp]))
+            msgs[comp] = 0
+            if pay[comp]:
+                pay[comp] = 0
 
     def _first_time_in_window(self, win: int) -> float:
         """The smallest float t with ``int(t / load_window_s) >= win``, or

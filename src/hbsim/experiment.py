@@ -14,6 +14,7 @@ half-widths from a quantile table pinned below.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import statistics
@@ -291,7 +292,26 @@ def run_one(cfg: ExperimentConfig, run_index: int, failure_stream=None) -> RunOu
 
     ``failure_stream`` may be replaced by a scripted stand-in (anything with
     gamma/index methods) for recovery-curve experiments.
+
+    CPython's cyclic garbage collector is paused for the span of the run
+    and the caller's setting is restored on every exit, a raised exception
+    included.  Building the subscription rows and overlap pairs allocates
+    enough containers to start hundreds of collector passes, and none of
+    them can find anything: a run builds no reference cycles, so reference
+    counting alone frees all of its state (the tests check this after
+    every kind of run).
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _simulate(cfg, run_index, failure_stream)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _simulate(cfg: ExperimentConfig, run_index: int, failure_stream) -> RunOutput:
+    """The body of ``run_one``, which calls it with the collector paused."""
     cfg = cfg.normalized()
     dc, gv, queue, streams = init_run(cfg, run_index, failure_stream)
     update_stream = streams[UPDATE_STREAM]

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .datacenter import DataCenter
 
@@ -303,13 +304,12 @@ def _make_simple_poller(dc: DataCenter):
     switch = dc.switch
 
     def flush(_window: int, _upd=upd_counts, _subs=subs, _wl=dc._win_msgs, _n=dc.n):
-        for i in range(_n):
-            c = _upd[i]
-            if c:
-                cc = 2 * c
-                for t in _subs[i]:
-                    _wl[t] += cc
-                _upd[i] = 0
+        # only the nodes that updated in this window, found in C
+        for i in compress(range(_n), _upd):
+            cc = 2 * _upd[i]
+            for t in _subs[i]:
+                _wl[t] += cc
+            _upd[i] = 0
 
     dc.pre_flush = flush
 

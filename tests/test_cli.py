@@ -1,6 +1,7 @@
 import functools
 import gc
 import hashlib
+import itertools
 import os
 import weakref
 
@@ -187,6 +188,22 @@ def test_unknown_protocol_in_sweep(cfg_file, capsys):
     assert main(["sweep", "--config", str(cfg_file), "--nodes", "20",
                  "--rates", "1", "--protocol", "carrier_pigeon"]) == 2
     assert "unknown protocol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, what", [
+    ("--nodes", "", "nodes"),
+    ("--rates", ",", "rates"),
+    ("--protocol", "", "protocols"),
+], ids=["nodes", "rates", "protocol"])
+def test_sweep_refuses_an_empty_grid_list(tmp_path, capsys, option, value, what):
+    # an empty list would make a grid of no cells, which "succeeds" at once
+    grid = {"--nodes": "20", "--rates": "1", "--protocol": "simple_p2p"} | {option: value}
+    out_dir = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", *itertools.chain(*grid.items()), "--out", str(out_dir)])
+    assert err.value.code == 2
+    assert f"argument {option}: empty {what} list: {value!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("grid", [

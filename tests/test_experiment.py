@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import hashlib
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbsim.datacenter import build_datacenter
-from hbsim.des import RngStream, derive_stream_seed, gamma_draws_vanish
+from hbsim.des import DispatchError, RngStream, derive_stream_seed, gamma_draws_vanish
 from hbsim.experiment import (
     _CONFIG_KEYS,
     ConfigError,
@@ -298,9 +300,11 @@ def test_engine_matches_bruteforce_reference():
     cfg = ExperimentConfig(nodes=20, subscriptions=4, duration_s=60.0, runs=1,
                            seed=17, failure=FailureConfig(rate_pct_per_min=6.0))
     # the cap binds the central and hierarchical kinds: one provider or
-    # aggregator gets several requests a second from 20 nodes
+    # aggregator gets several requests a second from 20 nodes; 0.01 s
+    # windows rotate between most updates, so most rotations find only a
+    # few busy components
     for kind in PROTOCOL_KINDS:
-        for window in (1.0, 10.0):
+        for window in (0.01, 1.0, 10.0):
             kcfg = replace(cfg, protocol=ProtocolConfig(kind=kind, max_requests_per_s=3),
                            load_window_s=window)
             engine = run_one(kcfg, 0)
@@ -310,6 +314,74 @@ def test_engine_matches_bruteforce_reference():
             assert engine.summary.total_messages == oracle.messages
             assert engine.summary.total_payload_entries == oracle.payload
             assert engine.load == oracle.load_rows()
+
+
+# -- the cyclic collector is paused for a run -----------------------------------
+
+
+# every kind, a capped central with several providers and a three-level tree
+NO_CYCLE_PROTOCOLS = [
+    *(pytest.param(ProtocolConfig(kind=kind), id=kind) for kind in PROTOCOL_KINDS),
+    pytest.param(ProtocolConfig(kind="central", provider_count=3, max_requests_per_s=2),
+                 id="central-providers3-cap2"),
+    pytest.param(ProtocolConfig(kind="hierarchical", hierarchy_levels=3),
+                 id="hierarchical-levels3"),
+]
+
+
+@pytest.mark.parametrize("protocol", NO_CYCLE_PROTOCOLS)
+def test_a_run_leaves_no_cyclic_garbage(protocol):
+    # run_one pauses the cyclic collector, so a cycle in a run's state
+    # would outlive the run until some later collection found it
+    cfg = ExperimentConfig(nodes=200, duration_s=20.0, runs=1, seed=4, protocol=protocol,
+                           failure=FailureConfig(rate_pct_per_min=30.0))
+    gc.collect()
+    out = run_one(cfg, 0)
+    assert out.summary.failure_events > 0
+    del out
+    assert gc.collect() == 0
+
+
+class CollectorWatch(ScriptedFailureStream):
+    """A scripted failure stream that records whether the cyclic collector
+    was on at each draw."""
+
+    def __init__(self, delays, picks):
+        super().__init__(delays, picks)
+        self.collector_on = []
+
+    def gamma(self, shape, scale):
+        self.collector_on.append(gc.isenabled())
+        return super().gamma(shape, scale)
+
+
+def test_run_one_pauses_the_collector_and_restores_it():
+    assert gc.isenabled()
+    stream = CollectorWatch([5.0, 5.0], [3, 3])
+    run_one(small_cfg(), 0, failure_stream=stream)
+    # the first draw is in init_run, the others in the event loop
+    assert stream.collector_on == [False, False, False]
+    assert gc.isenabled()
+
+
+def test_run_one_restores_the_collector_when_the_run_raises():
+    # a pick outside the centre makes the failure handler raise mid-run
+    stream = CollectorWatch([5.0], [10_000])
+    with pytest.raises(DispatchError):
+        run_one(small_cfg(), 0, failure_stream=stream)
+    assert stream.collector_on == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("picks", [[3], [10_000]], ids=["returns", "raises"])
+def test_run_one_leaves_a_paused_collector_paused(picks):
+    gc.disable()
+    try:
+        with contextlib.suppress(DispatchError):
+            run_one(small_cfg(), 0, failure_stream=ScriptedFailureStream([5.0], picks))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 # -- statistics -------------------------------------------------------------------

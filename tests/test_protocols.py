@@ -10,6 +10,7 @@ from hbsim.des import RngStream
 from hbsim.protocols import (
     CENTRAL,
     HIERARCHICAL,
+    PROTOCOL_KINDS,
     SIMPLE_P2P,
     TRANSITIVE_P2P,
     ProtocolConfig,
@@ -586,3 +587,22 @@ def topologies(draw):
 @given(topologies())
 def test_overlap_pairs_match_oracle_on_random_topologies(dc):
     assert _build_overlap_pairs(dc) == reference_overlap_pairs(dc)
+
+
+@st.composite
+def poller_cases(draw):
+    """A small topology and a protocol config valid on it: any kind, 1-3
+    providers, 2-3 tree levels, no request cap or a cap of 2."""
+    dc = draw(topologies())
+    cfg = ProtocolConfig(kind=draw(st.sampled_from(PROTOCOL_KINDS)),
+                         provider_count=draw(st.integers(1, min(3, dc.n))),
+                         hierarchy_levels=draw(st.integers(2, 3)),
+                         max_requests_per_s=draw(st.sampled_from([None, 2])))
+    return dc.subs, cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(poller_cases(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_pollers_match_oracle_on_random_topologies(case, seed):
+    subs, cfg = case
+    assert_poller_matches_oracle(subs, cfg, steps=100, seed=seed)
