@@ -25,6 +25,17 @@ observation times) plus one 4-byte entry in the target's reverse index,
 and nothing keyed by (observer, target): a slot is found by bisecting the
 sorted row.  That is about 33 B per subscription at n=10 000, k=100 and
 39 B at n=2000, k=45 (tracemalloc, 64-bit CPython 3.11).
+
+Set-up order: peak memory is what bounds n, so a set-up must peak at the
+footprint the run keeps, not above it.  ``build_datacenter`` hands each
+topology row to the centre as it is drawn, and the centre maps it through
+the shared ids at once, so at n=10 000, k=100 the 10**6 drawn ints (about
+28 MB) are never alive together.  For a transitive run the centre then
+builds the overlap pairs (:func:`build_overlap_pairs`) from its mapped
+rows, before it allocates the beliefs, observation times, reverse index
+and dead-target lists.  The pair build's scratch n-bit masks (about 13 MB
+at n=10 000) are freed by then, so that state reuses their memory instead
+of sitting beside them.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
+from collections.abc import Iterable
 from itertools import compress
 
 from .des import RngStream
@@ -72,12 +84,18 @@ class DataCenter:
     ``subscriptions`` rows may come in any order and are stored sorted.  A
     row with a target outside ``[0, n)``, a duplicate, the node itself, or
     a length other than ``k`` (when given) raises ``ValueError`` naming the
-    node.
+    node.  ``subscriptions`` may be any iterable of rows when ``nodes``
+    gives their number.
+
+    ``overlap_pairs`` is the centre's :func:`build_overlap_pairs` result
+    when it was made with ``overlap_pairs=True``, else None; only the
+    transitive poller reads it.
     """
 
-    def __init__(self, subscriptions: list[list[int]], k: int | None = None,
-                 load_window_s: float = 10.0):
-        n = len(subscriptions)
+    def __init__(self, subscriptions: Iterable[Iterable[int]], k: int | None = None,
+                 load_window_s: float = 10.0, *, nodes: int | None = None,
+                 overlap_pairs: bool = False):
+        n = len(subscriptions) if nodes is None else nodes
         # every row maps through one list of node ids, so all rows share one
         # int object per node instead of holding their own copies
         ids = list(range(n))
@@ -96,6 +114,8 @@ class DataCenter:
                 if i in row:
                     raise ValueError(f"node {i} subscribes to itself")
             subs.append(list(map(ids.__getitem__, row)))
+        if len(subs) != n:
+            raise ValueError(f"expected {n} subscription rows, got {len(subs)}")
 
         self.n = n
         sizes = {len(row) for row in subs}
@@ -103,6 +123,8 @@ class DataCenter:
         self.switch = n
         self.alive = [True] * n
         self.subs = subs
+        # before any per-subscription state: see the module docstring
+        self.overlap_pairs = build_overlap_pairs(subs) if overlap_pairs else None
         self.believed = [[True] * len(row) for row in subs]
         self.observed = [[0.0] * len(row) for row in subs]
         # reverse index; each array comes out ascending because i ascends
@@ -279,16 +301,78 @@ class DataCenter:
         return self._load_rows
 
 
+def build_overlap_pairs(subs: list[list[int]]) -> list[list[tuple[tuple[int, int], ...] | None]]:
+    """pairs[i][s]: for target b = subs[i][s] of the sorted rows ``subs``,
+    the (slot_in_b, slot_in_i) index pairs of subscriptions shared by i and
+    b, in ascending slot_in_i order, or None when they share none.  Static
+    per topology; this is what makes piggyback relay O(overlap) instead of
+    O(k).
+
+    Cost: each node's subscriptions become an n-bit int mask, so the
+    shared targets of an edge i->b are one C-level AND over the masks'
+    n/30 30-bit digits, and only the set bits of the result are walked in
+    Python.  For n nodes with k subscriptions each that is n*k ANDs plus
+    work linear in the output (about k**3 pairs in all on a uniform random
+    topology), instead of n*k*k interpreted dict probes.
+
+    No slot dicts: a shared target u's slot in i comes from one scratch
+    list, filled once per requester, and its slot in b from a bisect of
+    b's sorted row.  Every pair tuple is shared from one k x k table, and
+    so is every 1-pair tuple, the commonest kind (about k*k/n shared
+    targets per edge), so the result allocates only the tuples of edges
+    sharing two targets or more.
+    """
+    masks = []
+    for row in subs:
+        mask = 0
+        for t in row:
+            mask |= 1 << t
+        masks.append(mask)
+    k = max(map(len, subs), default=0)
+    slot_pairs = [[(j, m) for m in range(k)] for j in range(k)]
+    single_pairs = [[(pair,) for pair in pairs_j] for pairs_j in slot_pairs]
+    slot_i = [0] * len(subs)  # slot_i[u]: u's slot in the current requester's row
+    pairs = []
+    for i, subs_i in enumerate(subs):
+        mask_i = masks[i]
+        for m, u in enumerate(subs_i):
+            slot_i[u] = m
+        row = []
+        for b in subs_i:
+            c = mask_i & masks[b]
+            if not c:
+                row.append(None)
+                continue
+            subs_b = subs[b]
+            if c.bit_count() == 1:
+                u = c.bit_length() - 1
+                row.append(single_pairs[bisect_left(subs_b, u)][slot_i[u]])
+                continue
+            pl = []
+            while c:
+                u = c.bit_length() - 1
+                c ^= 1 << u
+                pl.append(slot_pairs[bisect_left(subs_b, u)][slot_i[u]])
+            pl.reverse()  # the walk ran from the highest node id down
+            row.append(tuple(pl))
+        pairs.append(row)
+    return pairs
+
+
 def build_datacenter(n: int, k: int, topology_stream: RngStream,
-                     load_window_s: float = 10.0) -> DataCenter:
+                     load_window_s: float = 10.0, *,
+                     overlap_pairs: bool = False) -> DataCenter:
     """Wire up a fresh data centre: n alive nodes, each subscribed to k
     distinct other nodes drawn uniformly without replacement.
 
     Rejection sampling against the topology stream keeps the draw sequence
-    (and therefore the graph) a pure function of the stream seed.
+    (and therefore the graph) a pure function of the stream seed.  Each row
+    goes to the centre as it is drawn, so the draws never pile up.
+    ``overlap_pairs`` has the centre build its overlap pairs as well, which
+    a transitive run needs.
     """
     if k < 0 or k > n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k} n={n}")
     draw = topology_stream.distinct_indices
-    subscriptions = [draw(n, k, i) for i in range(n)]
-    return DataCenter(subscriptions, k=k, load_window_s=load_window_s)
+    return DataCenter((draw(n, k, i) for i in range(n)), k=k, load_window_s=load_window_s,
+                      nodes=n, overlap_pairs=overlap_pairs)

@@ -87,8 +87,8 @@ class EventQueue:
         The clock advances to each event's fire time before its dispatch and
         rests at ``end_time`` on return.  Later events stay queued.
         """
-        if end_time < self.now:
-            raise SchedulingError(f"end_time {end_time} precedes now {self.now}")
+        if not end_time >= self.now:  # also rejects nan, which would stall the clock
+            raise SchedulingError(f"end_time must be a number >= now {self.now}, got {end_time}")
         heap = self._heap
         processed = 0
         while heap and heap[0][0] <= end_time:

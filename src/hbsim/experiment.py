@@ -17,9 +17,7 @@ from __future__ import annotations
 import gc
 import math
 import os
-import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .datacenter import build_datacenter
@@ -36,6 +34,7 @@ from .protocols import (
     CENTRAL,
     HIERARCHICAL,
     PROTOCOL_KINDS,
+    TRANSITIVE_P2P,
     ProtocolConfig,
     build_global_view,
     make_poller,
@@ -258,6 +257,8 @@ def init_run(cfg: ExperimentConfig, run_index: int, failure_stream=None):
 
     Event insertion order is pinned (probe, updates for nodes 0..n-1, the
     first failure) so equal-time ties replay identically everywhere.
+    A transitive run's centre comes with its overlap pairs, built inside
+    ``build_datacenter`` where they cost the least peak memory.
     Returns (datacenter, global_view, queue, streams dict).
     """
     cfg = cfg.normalized()
@@ -265,7 +266,8 @@ def init_run(cfg: ExperimentConfig, run_index: int, failure_stream=None):
                          derive_stream_seed(cfg.seed, run_index, TOPOLOGY_STREAM))
     update = RngStream(UPDATE_STREAM,
                        derive_stream_seed(cfg.seed, run_index, UPDATE_STREAM))
-    dc = build_datacenter(cfg.nodes, cfg.subscriptions, topology, cfg.load_window_s)
+    dc = build_datacenter(cfg.nodes, cfg.subscriptions, topology, cfg.load_window_s,
+                          overlap_pairs=cfg.protocol.kind == TRANSITIVE_P2P)
     gv = None
     if cfg.protocol.kind in (CENTRAL, HIERARCHICAL):
         gv = build_global_view(cfg.nodes, cfg.protocol)
@@ -394,6 +396,8 @@ def ci95_halfwidth(samples) -> float:
     m = len(samples)
     if m < 2:
         raise ValueError("confidence interval needs at least 2 samples")
+    import statistics  # imported here: only configs of 2 runs or more get here
+
     sd = statistics.stdev(samples)
     if sd == 0.0:
         return 0.0
@@ -465,6 +469,10 @@ def run_config(cfg: ExperimentConfig, workers: int | None = None):
         raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(0, cfg, r) for r in range(cfg.runs)]
     if workers > 1 and cfg.runs > 1:
+        # imported here, so that a process that opens no pool never loads
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, cfg.runs)) as pool:
             results = list(pool.map(_run_task, tasks))
     else:

@@ -32,11 +32,10 @@ a tie.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .datacenter import DataCenter
+from .datacenter import DataCenter, build_overlap_pairs
 
 CENTRAL = "central"
 HIERARCHICAL = "hierarchical"
@@ -206,64 +205,6 @@ def provider_serve(gv: GlobalView, provider: int, requester_targets, cfg: Protoc
 
 # -- per-run pollers ---------------------------------------------------
 
-def _build_overlap_pairs(dc: DataCenter) -> list[list[tuple[tuple[int, int], ...] | None]]:
-    """pairs[i][s]: for target b = subs[i][s], the (slot_in_b, slot_in_i)
-    index pairs of subscriptions shared by i and b, in ascending slot_in_i
-    order, or None when they share none.  Static per topology; this is what
-    makes piggyback relay O(overlap) instead of O(k).
-
-    Cost: each node's subscriptions become an n-bit int mask, so the
-    shared targets of an edge i->b are one C-level AND over the masks'
-    n/30 30-bit digits, and only the set bits of the result are walked in
-    Python.  For n nodes with k subscriptions each that is n*k ANDs plus
-    work linear in the output (about k**3 pairs in all on a uniform random
-    topology), instead of n*k*k interpreted dict probes.
-
-    No slot dicts: a shared target u's slot in i comes from one scratch
-    list, filled once per requester, and its slot in b from a bisect of
-    b's sorted row.  Every pair tuple is shared from one k x k table, and
-    so is every 1-pair tuple, the commonest kind (about k*k/n shared
-    targets per edge), so the result allocates only the tuples of edges
-    sharing two targets or more.
-    """
-    subs = dc.subs
-    masks = []
-    for row in subs:
-        mask = 0
-        for t in row:
-            mask |= 1 << t
-        masks.append(mask)
-    k = max(map(len, subs), default=0)
-    slot_pairs = [[(j, m) for m in range(k)] for j in range(k)]
-    single_pairs = [[(pair,) for pair in pairs_j] for pairs_j in slot_pairs]
-    slot_i = [0] * dc.n  # slot_i[u]: u's slot in the current requester's row
-    pairs = []
-    for i, subs_i in enumerate(subs):
-        mask_i = masks[i]
-        for m, u in enumerate(subs_i):
-            slot_i[u] = m
-        row = []
-        for b in subs_i:
-            c = mask_i & masks[b]
-            if not c:
-                row.append(None)
-                continue
-            subs_b = subs[b]
-            if c.bit_count() == 1:
-                u = c.bit_length() - 1
-                row.append(single_pairs[bisect_left(subs_b, u)][slot_i[u]])
-                continue
-            pl = []
-            while c:
-                u = c.bit_length() - 1
-                c ^= 1 << u
-                pl.append(slot_pairs[bisect_left(subs_b, u)][slot_i[u]])
-            pl.reverse()  # the walk ran from the highest node id down
-            row.append(tuple(pl))
-        pairs.append(row)
-    return pairs
-
-
 def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
     """Build the poller of ``cfg.kind`` for one run.
 
@@ -280,6 +221,10 @@ def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
     a third with its next hop per target, so memory is O(servers * n): about
     0.8 MB for the 32-aggregator tree at n=1000, about 24 MB for a
     100-aggregator tree at n=10000.
+
+    The transitive poller relays over ``dc.overlap_pairs``, which
+    ``init_run`` has the centre build during its own set-up; it builds the
+    pairs itself only for a centre made without them.
 
     ``tests/reference_sim.py`` is the oracle of all four pollers.
     """
@@ -341,7 +286,9 @@ def _make_simple_poller(dc: DataCenter):
 
 
 def _make_transitive_poller(dc: DataCenter, staleness_s: float):
-    pairs = _build_overlap_pairs(dc)
+    pairs = dc.overlap_pairs
+    if pairs is None:  # a centre built without its pairs, as tests build one
+        pairs = build_overlap_pairs(dc.subs)
 
     def poll(i, now, _dc=dc, _subs=dc.subs, _alive=dc.alive, _believed=dc.believed,
              _observed=dc.observed, _pairs=pairs, _wl=dc._win_msgs, _wp=dc._win_pay,

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbsim.datacenter import DataCenter, NotSubscribedError, build_datacenter
+from hbsim.datacenter import DataCenter, NotSubscribedError, build_datacenter, build_overlap_pairs
 from hbsim.des import RngStream
-from hbsim.protocols import _build_overlap_pairs
 
 
 def rescan_inconsistent(dc):
@@ -78,6 +77,22 @@ def test_constructor_rejection_names_the_node(rows, k, message):
         DataCenter(rows, k=k)
 
 
+@pytest.mark.parametrize("rows", [[[1], [0]], [[1], [0], [0], [0]]], ids=["short", "long"])
+def test_constructor_rejects_a_row_count_other_than_nodes(rows):
+    with pytest.raises(ValueError, match=f"^expected 3 subscription rows, got {len(rows)}$"):
+        DataCenter(iter(rows), nodes=3)
+
+
+def test_centre_built_from_drawn_rows_matches_one_built_from_a_list():
+    drawn = build_datacenter(50, 7, RngStream("topology", 3), overlap_pairs=True)
+    stream = RngStream("topology", 3)
+    listed = DataCenter([stream.distinct_indices(50, 7, i) for i in range(50)], k=7)
+    assert drawn.subs == listed.subs
+    assert drawn.subscribers == listed.subscribers
+    assert listed.overlap_pairs is None
+    assert drawn.overlap_pairs == build_overlap_pairs(listed.subs)
+
+
 UNSORTED_ROWS = [[4, 2, 1], [3, 0], [4, 0, 3, 1], [2], [3, 1, 0]]
 
 
@@ -101,7 +116,7 @@ def test_unsorted_rows_build_the_same_centre_as_sorted_rows(rows):
     # the reverse index holds each target's observers, ascending
     assert [list(obs) for obs in a.subscribers] == [
         [i for i, row in enumerate(rows) if t in row] for t in range(len(rows))]
-    assert _build_overlap_pairs(a) == _build_overlap_pairs(b)
+    assert build_overlap_pairs(a.subs) == build_overlap_pairs(b.subs)
 
 
 def test_memory_per_subscription():
@@ -122,7 +137,7 @@ def test_memory_per_subscription():
         before = tracemalloc.get_traced_memory()[0]
         dc = build_datacenter(2000, 45, RngStream("topology", 42))
         built = tracemalloc.get_traced_memory()[0]
-        pairs = _build_overlap_pairs(dc)
+        pairs = build_overlap_pairs(dc.subs)
         paired = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

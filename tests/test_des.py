@@ -68,6 +68,17 @@ def test_run_backwards_rejected():
         q.run(4.0, lambda ev: None)
 
 
+def test_run_nan_end_time_rejected():
+    # a clock set to nan would queue every later event at nan, never to fire
+    q = EventQueue()
+    q.run(5.0, lambda ev: None)
+    q.schedule(0.5, ("x",))
+    with pytest.raises(SchedulingError):
+        q.run(math.nan, lambda ev: None)
+    assert q.now == 5.0
+    assert len(q) == 1
+
+
 def test_self_rescheduling_probe_fires_3599_times():
     q = EventQueue()
     fired = [0]

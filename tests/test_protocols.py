@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbsim.datacenter import DataCenter, build_datacenter
+from hbsim.datacenter import DataCenter, build_datacenter, build_overlap_pairs
 from hbsim.des import RngStream
 from hbsim.protocols import (
     CENTRAL,
@@ -14,7 +14,6 @@ from hbsim.protocols import (
     SIMPLE_P2P,
     TRANSITIVE_P2P,
     ProtocolConfig,
-    _build_overlap_pairs,
     build_global_view,
     make_poller,
 )
@@ -559,13 +558,13 @@ def reference_overlap_pairs(dc):
 @pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (3, 1), (12, 11), (40, 6), (500, 22)])
 def test_overlap_pairs_match_oracle_on_built_topologies(n, k):
     dc = build_datacenter(n, k, RngStream("topology", 5))
-    assert _build_overlap_pairs(dc) == reference_overlap_pairs(dc)
+    assert build_overlap_pairs(dc.subs) == reference_overlap_pairs(dc)
 
 
 def test_overlap_pairs_match_oracle_with_unequal_rows():
     dc = DataCenter([[1, 2, 3, 4], [0], [], [0, 1, 2], [3, 0]])
     assert dc.k is None
-    pairs = _build_overlap_pairs(dc)
+    pairs = build_overlap_pairs(dc.subs)
     assert pairs == reference_overlap_pairs(dc)
     # node 0 and node 3 share targets 1 and 2, at slots 0,1 in 0 and 1,2 in 3
     assert pairs[0][2] == ((1, 0), (2, 1))
@@ -586,7 +585,7 @@ def topologies(draw):
 @settings(max_examples=200, deadline=None)
 @given(topologies())
 def test_overlap_pairs_match_oracle_on_random_topologies(dc):
-    assert _build_overlap_pairs(dc) == reference_overlap_pairs(dc)
+    assert build_overlap_pairs(dc.subs) == reference_overlap_pairs(dc)
 
 
 @st.composite
