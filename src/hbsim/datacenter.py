@@ -215,10 +215,6 @@ class DataCenter:
         row_obs[slot] = observed_at
         return True
 
-    def count_inconsistent_nodes(self) -> int:
-        """Number of operating nodes holding at least one wrong belief (O(1))."""
-        return self.inconsistent
-
     # -- load log -------------------------------------------------------
 
     def _flush_window(self) -> None:
@@ -261,15 +257,16 @@ class DataCenter:
 
         A poll calls this only once ``t >= next_boundary``, the first time
         of the next window; the division here still decides the rotation.
+        Only the current window can hold traffic, so it alone is flushed;
+        the windows skipped over would flush no row.
         """
         win = int(t / self.load_window_s)
         if win <= self._win:
             return
-        while win > self._win:
-            if self.pre_flush is not None:
-                self.pre_flush(self._win)
-            self._flush_window()
-            self._win += 1
+        if self.pre_flush is not None:
+            self.pre_flush(self._win)
+        self._flush_window()
+        self._win = win
         self.next_boundary = self._first_time_in_window(win + 1)
 
     def message(self, sender: int, receiver: int, t: float,
@@ -313,7 +310,12 @@ def build_overlap_pairs(subs: list[list[int]]) -> list[list[tuple[tuple[int, int
     n/30 30-bit digits, and only the set bits of the result are walked in
     Python.  For n nodes with k subscriptions each that is n*k ANDs plus
     work linear in the output (about k**3 pairs in all on a uniform random
-    topology), instead of n*k*k interpreted dict probes.
+    topology), instead of n*k*k interpreted dict probes.  A mask is made
+    from one n/8-byte bytearray with the row's bits set, converted once, so
+    building it allocates no n-bit int per target.  The walk peels the
+    highest shared target off the AND result; if nothing is left, the edge
+    shares just that one target, which spots the commonest kind of edge
+    without a popcount over the whole result.
 
     No slot dicts: a shared target u's slot in i comes from one scratch
     list, filled once per requester, and its slot in b from a bisect of
@@ -322,12 +324,13 @@ def build_overlap_pairs(subs: list[list[int]]) -> list[list[tuple[tuple[int, int
     targets per edge), so the result allocates only the tuples of edges
     sharing two targets or more.
     """
+    nbytes = (len(subs) + 7) // 8
     masks = []
     for row in subs:
-        mask = 0
+        bits = bytearray(nbytes)
         for t in row:
-            mask |= 1 << t
-        masks.append(mask)
+            bits[t >> 3] |= 1 << (t & 7)
+        masks.append(int.from_bytes(bits, "little"))
     k = max(map(len, subs), default=0)
     slot_pairs = [[(j, m) for m in range(k)] for j in range(k)]
     single_pairs = [[(pair,) for pair in pairs_j] for pairs_j in slot_pairs]
@@ -344,11 +347,12 @@ def build_overlap_pairs(subs: list[list[int]]) -> list[list[tuple[tuple[int, int
                 row.append(None)
                 continue
             subs_b = subs[b]
-            if c.bit_count() == 1:
-                u = c.bit_length() - 1
+            u = c.bit_length() - 1
+            c ^= 1 << u
+            if not c:
                 row.append(single_pairs[bisect_left(subs_b, u)][slot_i[u]])
                 continue
-            pl = []
+            pl = [slot_pairs[bisect_left(subs_b, u)][slot_i[u]]]
             while c:
                 u = c.bit_length() - 1
                 c ^= 1 << u

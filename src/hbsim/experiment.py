@@ -123,6 +123,12 @@ class ExperimentConfig:
                     f"at duration_s={cfg.duration_s}")
         if not 0 < cfg.load_window_s < math.inf:
             raise ConfigError(f"load_window_s must be positive and finite, got {cfg.load_window_s}")
+        # the last flush numbers the window after duration_s; that index
+        # must be a finite number
+        if not (cfg.duration_s + cfg.load_window_s) / cfg.load_window_s < math.inf:
+            raise ConfigError(
+                f"load_window_s={cfg.load_window_s} is too small: the window index "
+                f"at duration_s={cfg.duration_s} is not a finite number")
         if cfg.failure.rate_pct_per_min > 0:
             _check_failure_gaps(cfg)
         return cfg

@@ -150,14 +150,14 @@ def test_failure_makes_fresh_subscribers_inconsistent():
     dc = build_datacenter(30, 5, RngStream("topology", 7))
     victim = 4
     dc.set_liveness(victim, False)
-    assert dc.count_inconsistent_nodes() == len(dc.subscribers[victim])
-    assert dc.count_inconsistent_nodes() == rescan_inconsistent(dc)
+    assert dc.inconsistent == len(dc.subscribers[victim])
+    assert dc.inconsistent == rescan_inconsistent(dc)
 
 
 def test_set_liveness_same_value_is_noop():
     dc = build_datacenter(10, 2, RngStream("topology", 9))
     dc.set_liveness(3, True)
-    assert dc.count_inconsistent_nodes() == 0
+    assert dc.inconsistent == 0
     assert dc.dead_targets == [[] for _ in range(10)]
 
 
@@ -169,9 +169,9 @@ def test_dead_node_stale_cache_counts_only_after_revival():
     dc.set_liveness(1, False)
     dc.apply_observation(2, 0, False, 1.0)
     dc.apply_observation(2, 1, False, 1.0)
-    assert dc.count_inconsistent_nodes() == 0 == rescan_inconsistent(dc)
+    assert dc.inconsistent == 0 == rescan_inconsistent(dc)
     dc.set_liveness(0, True)    # back up, still believing 1 is alive
-    assert dc.count_inconsistent_nodes() == 2 == rescan_inconsistent(dc)
+    assert dc.inconsistent == 2 == rescan_inconsistent(dc)
     # (node 2 is also wrong now: it believed 0 dead)
 
 
@@ -179,9 +179,9 @@ def test_repair_flips_subscribers_believing_dead():
     dc = DataCenter([[1], [0]])
     dc.set_liveness(1, False)
     dc.apply_observation(0, 1, False, 5.0)  # node 0 learns of the death
-    assert dc.count_inconsistent_nodes() == 0
+    assert dc.inconsistent == 0
     dc.set_liveness(1, True)  # repair: believers of "dead" now wrong
-    assert dc.count_inconsistent_nodes() == 1
+    assert dc.inconsistent == 1
     assert rescan_inconsistent(dc) == 1
 
 
@@ -243,7 +243,7 @@ def run_script_against_rescan(dc, stream, steps=200):
             dc.apply_observation(observer, target,
                                  bool(stream.index(2)),
                                  stream.uniform(0.0, 50.0))
-        assert dc.count_inconsistent_nodes() == rescan_inconsistent(dc)
+        assert dc.inconsistent == rescan_inconsistent(dc)
         assert [sorted(dead) for dead in dc.dead_targets] == [
             [t for t in row if not dc.alive[t]] for row in dc.subs]
 
@@ -308,6 +308,21 @@ def test_quiet_windows_produce_no_rows():
     dc.message(1, 0, t=17.0)
     rows = dc.finish_load(17.0)
     assert rows == [(15.0, 0, 1, 0), (15.0, 1, 1, 0), (15.0, 2, 1, 0)]
+
+
+def test_a_jump_over_many_windows_flushes_only_the_current_one():
+    # 1e12 windows of 1 ps each elapse between the two messages
+    dc, flushed = window_log(1e-12)
+    dc.message(0, 1, t=1e-13)
+    dc.message(1, 0, t=1.0)
+    win = int(1.0 / 1e-12)
+    assert flushed == [0]
+    assert dc._win == win
+    assert int(dc.next_boundary / 1e-12) == win + 1
+    rows = dc.finish_load(1.0)
+    assert flushed == [0, win]
+    assert rows == [(0.0, 0, 1, 0), (0.0, 1, 1, 0), (0.0, 2, 1, 0),
+                    (win * 1e-12, 0, 1, 0), (win * 1e-12, 1, 1, 0), (win * 1e-12, 2, 1, 0)]
 
 
 def test_payload_entries_tracked_separately():

@@ -140,6 +140,9 @@ def test_parse_rejects_non_finite_and_stalling_values(line):
     # the scale, mean gap / shape, overflows to inf and a draw becomes nan
     pytest.param("nodes=50\nfailure_rate_pct_per_min=1\ngamma_shape=1e-320", "gamma_shape",
                  id="gamma_shape=1e-320"),
+    # (duration_s + w) / w overflows to inf: the last window has no index
+    pytest.param("nodes=10\nduration_s=3\nload_window_s=5e-324", "load_window_s",
+                 id="load_window_s=5e-324"),
 ])
 def test_parse_rejects_values_that_crash_or_hang_naming_the_key(text, key):
     with pytest.raises(ConfigError, match=key):
@@ -356,6 +359,23 @@ def test_engine_matches_bruteforce_reference():
             assert engine.summary.total_messages == oracle.messages
             assert engine.summary.total_payload_entries == oracle.payload
             assert engine.load == oracle.load_rows()
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_a_tiny_load_window_runs_at_once_and_matches_the_oracle(kind):
+    # a 1 ns window puts most messages in a window of their own; rotating
+    # through every elapsed window, about 3e9 of them, never finished
+    cfg = ExperimentConfig(nodes=10, duration_s=3.0, runs=1, seed=3, load_window_s=1e-9,
+                           protocol=ProtocolConfig(kind=kind),
+                           failure=FailureConfig(rate_pct_per_min=60.0))
+    engine = run_one(cfg, 0)
+    assert engine.load == reference_run(cfg, 0).load_rows()
+    total = engine.summary.total_messages
+    assert total > 0
+    # every message touches the sender's link, the receiver's and the switch
+    switch = sum(m for _, comp, m, _ in engine.load if comp == cfg.nodes)
+    links = sum(m for _, comp, m, _ in engine.load if comp != cfg.nodes)
+    assert (switch, links) == (total, 2 * total)
 
 
 # -- the cyclic collector is paused for a run -----------------------------------

@@ -75,7 +75,7 @@ def test_alive_pick_fails_node_and_leaves_caches_alone():
     for observer in dc.subscribers[4]:
         slot = dc.subs[observer].index(4)
         assert dc.believed[observer][slot] is True   # caches untouched
-    assert dc.count_inconsistent_nodes() == len(dc.subscribers[4])
+    assert dc.inconsistent == len(dc.subscribers[4])
 
 
 def test_dead_pick_with_toggle_repair_revives():

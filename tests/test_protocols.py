@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import random
 import weakref
 
 import pytest
@@ -58,7 +60,7 @@ def test_direct_poll_dead_target_silence_is_the_observation():
     assert dc.total_messages == 1           # the request; the dead do not reply
     assert dc.believed[0] == [False]
     assert dc.observed[0] == [4.0]
-    assert dc.count_inconsistent_nodes() == 0
+    assert dc.inconsistent == 0
 
 
 def test_simple_poll_issues_k_polls():
@@ -66,7 +68,7 @@ def test_simple_poll_issues_k_polls():
     poller_for(dc, SIMPLE)(7, 2.0)
     assert dc.total_messages == 10  # request + response per alive target
     assert dc.observed[7] == [2.0] * 5
-    assert dc.count_inconsistent_nodes() == 0
+    assert dc.inconsistent == 0
 
 
 def test_poll_refreshes_entries_after_failure():
@@ -368,7 +370,7 @@ def test_zero_failures_every_protocol_stays_consistent(kind):
     for _ in range(300):
         now += stream.uniform(0.0, 0.3)
         poll(stream.index(30), now)
-        assert dc.count_inconsistent_nodes() == 0
+        assert dc.inconsistent == 0
 
 
 @pytest.mark.parametrize("kind", [CENTRAL, HIERARCHICAL, SIMPLE_P2P, TRANSITIVE_P2P])
@@ -555,9 +557,74 @@ def reference_overlap_pairs(dc):
     return pairs
 
 
-@pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (3, 1), (12, 11), (40, 6), (500, 22)])
+# n = 7, 8, 9, 15, 16, 17 end a mask just before, on and just after a byte
+@pytest.mark.parametrize("n, k", [
+    (1, 0), (2, 1), (3, 1), (12, 11), (40, 6), (500, 22),
+    *((n, k) for n in (7, 8, 9, 15, 16, 17) for k in (n // 2, n - 1)),
+])
 def test_overlap_pairs_match_oracle_on_built_topologies(n, k):
     dc = build_datacenter(n, k, RngStream("topology", 5))
+    assert build_overlap_pairs(dc.subs) == reference_overlap_pairs(dc)
+
+
+# SHA-256 of repr(build_overlap_pairs(...)) for the n=2001, k=45 topology
+# below, recorded from the build that OR-ed one 1 << t per target into each
+# mask and counted an edge's shared targets before walking them.  At n=2001
+# the last byte of a mask holds only one node's bit.
+GOLDEN_PAIRS_2001_SHA256 = "194ab623814b7b5f31c17fa57edaa19826cd05e8a4ce99e29436f1a22621fded"
+
+
+def test_overlap_pairs_match_the_golden_digest_and_share_their_tuples():
+    dc = build_datacenter(2001, 45, RngStream("topology", 42))
+    pairs = build_overlap_pairs(dc.subs)
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == GOLDEN_PAIRS_2001_SHA256
+    # equal pairs, and equal 1-pair tuples, are one object each
+    seen = {}
+    for row in pairs:
+        for pl in row:
+            if pl is None:
+                continue
+            if len(pl) == 1:
+                assert seen.setdefault(pl, pl) is pl
+            for pair in pl:
+                assert seen.setdefault(pair, pair) is pair
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
+def test_overlap_pairs_find_the_lowest_and_highest_node_ids(n):
+    # nodes 1 and 2 both subscribe to node 0 and to node n-1, and 1 to 2,
+    # so the walk of edge 1->2 must peel down to bit 0
+    last = n - 1
+    rows = [[] for _ in range(n)]
+    rows[0] = [last]
+    rows[1] = [0, 2, last]
+    rows[2] = [0, last]
+    rows[last] = [0]
+    dc = DataCenter(rows)
+    pairs = build_overlap_pairs(dc.subs)
+    assert pairs == reference_overlap_pairs(dc)
+    # edge 1->2 shares 0 (slot 0 in both) and n-1 (slot 1 in 2, slot 2 in 1)
+    assert pairs[1][1] == ((0, 0), (1, 2))
+    # edge 1->0 shares only n-1, at slot 0 in 0 and slot 2 in 1
+    assert pairs[1][0] == ((0, 2),)
+
+
+def test_overlap_pairs_match_oracle_when_an_edge_shares_many_targets():
+    # a complete graph on 6 nodes: every edge i->b shares the other 4 nodes
+    dc = DataCenter([[t for t in range(6) if t != i] for i in range(6)])
+    pairs = build_overlap_pairs(dc.subs)
+    assert pairs == reference_overlap_pairs(dc)
+    assert all(len(pl) == 4 for row in pairs for pl in row)
+    # node 0 -> node 5: shared 1..4 sit at slots 1..4 in 5 and 0..3 in 0
+    assert pairs[0][4] == ((1, 0), (2, 1), (3, 2), (4, 3))
+
+
+def test_overlap_pairs_match_oracle_with_unequal_rows_across_bytes():
+    # rows from 0 to 16 targets over 17 nodes, so masks end in every byte
+    rng = random.Random(17)
+    rows = [rng.sample([t for t in range(17) if t != i], i) for i in range(17)]
+    dc = DataCenter(rows)
+    assert dc.k is None
     assert build_overlap_pairs(dc.subs) == reference_overlap_pairs(dc)
 
 
