@@ -145,7 +145,9 @@ class DataCenter:
         self._win_msgs = [0] * (n + 1)
         self._win_pay = [0] * (n + 1)
         self._load_rows: list[tuple[float, int, int, int]] = []
-        self.pre_flush = None  # optional callback(window_index) before rotation
+        # callback(window_index) before rotation: the simple poller's flush of the
+        # full-row target-link counts that simple, central and hierarchical defer
+        self.pre_flush = None
         self.total_messages = 0
         self.total_payload = 0
 

@@ -483,7 +483,7 @@ def run_config(cfg: ExperimentConfig, workers: int | None = None):
             results = list(pool.map(_run_task, tasks))
     else:
         results = [_run_task(t) for t in tasks]
-    outputs = [out for _, _, out in sorted(results, key=lambda r: r[1])]
+    outputs = [out for _, _, out in results]  # both paths keep the tasks' run order
     return outputs, aggregate(cfg, outputs)
 
 

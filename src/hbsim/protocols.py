@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .datacenter import DataCenter, build_overlap_pairs
+from .datacenter import DataCenter
 
 CENTRAL = "central"
 HIERARCHICAL = "hierarchical"
@@ -89,7 +89,9 @@ def build_global_view(n: int, cfg: ProtocolConfig) -> GlobalView:
 
     The layout is deterministic and seed-independent: providers are the
     lowest node ids, groups are consecutive id ranges with fan-out
-    ceil(n^(1/levels)), and each group's aggregator is its lowest id.
+    f = max(2, ceil(n^(1/levels))), and each group's aggregator is its
+    lowest id.  Level by level, every f consecutive aggregators form a group
+    headed by its first, which covers the group's ids, until one root is left.
     """
     if cfg.kind == CENTRAL:
         providers = list(range(cfg.provider_count))
@@ -102,16 +104,6 @@ def build_global_view(n: int, cfg: ProtocolConfig) -> GlobalView:
         raise ValueError("global view applies only to central/hierarchical")
 
     gv = GlobalView()
-    if n == 1:
-        gv.leaf_agg = [0]
-        gv.ranges = {0: (0, 1)}
-        gv.parent = {0: None}
-        gv.agg_children = {0: []}
-        gv.root = 0
-        gv.cache = {0: {}}
-        gv.served = {0: [-1, 0]}
-        return gv
-
     fan_out = max(2, math.ceil(n ** (1.0 / cfg.hierarchy_levels)))
     gv.leaf_agg = [(i // fan_out) * fan_out for i in range(n)]
     current = list(range(0, n, fan_out))
@@ -222,9 +214,13 @@ def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
     0.8 MB for the 32-aggregator tree at n=1000, about 24 MB for a
     100-aggregator tree at n=10000.
 
+    The simple, central and hierarchical kinds all defer the target-link
+    counts of a full-row poll through one flush, ``dc.pre_flush``: the served
+    kinds' fallback, when their server is dead or refuses, is the simple poll.
+
     The transitive poller relays over ``dc.overlap_pairs``, which
-    ``init_run`` has the centre build during its own set-up; it builds the
-    pairs itself only for a centre made without them.
+    ``init_run`` has the centre build during its own set-up; for a centre
+    made without ``overlap_pairs=True`` this raises ValueError.
 
     ``tests/reference_sim.py`` is the oracle of all four pollers.
     """
@@ -287,8 +283,8 @@ def _make_simple_poller(dc: DataCenter):
 
 def _make_transitive_poller(dc: DataCenter, staleness_s: float):
     pairs = dc.overlap_pairs
-    if pairs is None:  # a centre built without its pairs, as tests build one
-        pairs = build_overlap_pairs(dc.subs)
+    if pairs is None:
+        raise ValueError("a transitive poller needs a centre built with overlap_pairs=True")
 
     def poll(i, now, _dc=dc, _subs=dc.subs, _alive=dc.alive, _believed=dc.believed,
              _observed=dc.observed, _pairs=pairs, _wl=dc._win_msgs, _wp=dc._win_pay,
@@ -393,8 +389,10 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
     _DIRECT to poll it itself.  Staleness is tested as ``now - ob > thr``,
     never as ``ob < now - thr``, which can round differently; forwarded
     hops are visited in ascending id order; the cap counts requests per
-    ``int(now)`` second and local serving skips it; and an observation
-    applies unless it is older than the cached one.
+    ``int(now)`` second and local serving skips it; an observation applies
+    unless it is older than the cached one; and a requester whose server is
+    dead or refuses sends it one unanswered request, then runs the simple
+    poll, whose flush defers the target-link counts.
     """
     n = dc.n
     alive = dc.alive
@@ -498,18 +496,18 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
 
     def poll(i, now, _dc=dc, _subs=dc.subs, _alive=alive, _believed=dc.believed,
              _observed=dc.observed, _bad=dc.bad_count, _home=home, _wl=wl, _wp=wp,
-             _switch=switch):
+             _switch=switch, _simple=_make_simple_poller(dc)):
         subs_i = _subs[i]
         if not subs_i:
             return
         if now >= _dc.next_boundary:
             _dc.advance_window(now)
         s = _home[i]
-        k = len(subs_i)
         if s == i:
             serve(s, subs_i, now, serve)  # local: no cap, no network hop
         elif _alive[s] and admit(s, now):
             serve(s, subs_i, now, serve)
+            k = len(subs_i)
             _wl[i] += 2
             _wl[s] += 2
             _wl[_switch] += 2
@@ -519,22 +517,13 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
             _wp[_switch] += k
             _dc.total_payload += k
         else:
-            # the server is dead or refuses: one unanswered request, then
-            # direct polls leave every entry true as of now
-            m = 1
-            for t in subs_i:
-                x = 2 if _alive[t] else 1
-                m += x
-                _wl[t] += x
+            # the server is dead or refuses: one unanswered request, then the
+            # simple P2P poll leaves every entry true as of now
+            _wl[i] += 1
             _wl[s] += 1
-            _wl[i] += m
-            _wl[_switch] += m
-            _dc.total_messages += m
-            _believed[i] = [_alive[t] for t in subs_i]
-            _observed[i] = [now] * k
-            if _bad[i]:
-                _bad[i] = 0
-                _dc.inconsistent -= 1
+            _wl[_switch] += 1
+            _dc.total_messages += 1
+            _simple(i, now)
             return
         # apply the served batch to the requester's row
         ca = cache_alive[s]

@@ -4,13 +4,14 @@ Re-implements the run semantics of all four protocols with the most naive
 structures available: a linear-scan event list, dict caches per node and
 per provider or aggregator, a recursive serve, one record per counted
 message, and a full rescan of every subscription entry at each probe and
-failure.  It shares two things with the engine: the seeded random streams
-(the draw sequences are part of the package contract) and the provider and
-aggregator-tree layout of ``build_global_view``.  All state handling is
-independent, so an exact match of probe series, failure logs, traffic
-totals and load rows across many seeds is strong evidence that the
-pollers, the incremental bookkeeping and the batched load accounting are
-faithful.
+failure.  It shares only the seeded random streams (the draw sequences are
+part of the package contract) and ``gamma_params_for_rate`` with the
+engine.  The provider and aggregator-tree layout is its own, restated by
+``tree_layout`` from the rules in ``build_global_view``'s docstring, and all
+state handling is independent, so an exact match of probe series, failure
+logs, traffic totals and load rows across many seeds is strong evidence
+that the layout, the pollers, the incremental bookkeeping and the batched
+load accounting are faithful.
 
 ``ReferenceState`` is one data centre under one protocol, built from a
 given subscription list and driven one poll or liveness flip at a time;
@@ -19,10 +20,43 @@ given subscription list and driven one poll or liveness flip at a time;
 
 from __future__ import annotations
 
+import math
+
 from hbsim.des import RngStream, derive_stream_seed
 from hbsim.experiment import ExperimentConfig
 from hbsim.failure import gamma_params_for_rate
-from hbsim.protocols import CENTRAL, HIERARCHICAL, ProtocolConfig, build_global_view
+from hbsim.protocols import CENTRAL, HIERARCHICAL, ProtocolConfig
+
+
+def tree_layout(n: int, levels: int):
+    """The aggregator tree of n nodes at ``levels`` levels, as
+    (leaf_agg, ranges, parent, children), by arithmetic on the fan-out
+    f = max(2, ceil(n ** (1 / levels))):
+
+    * node i's leaf aggregator is ``(i // f) * f``, the lowest id of its
+      group of f consecutive ids;
+    * an aggregator a sits at every level l from 1 up to the highest with
+      ``a % f**l == 0``, stopping at the first level whose span ``f**l``
+      reaches n, which only the root 0 does; with L that top level, a
+      covers ids ``[a, min(a + f**L, n))``;
+    * below the root, a's parent is ``(a // f**(L+1)) * f**(L+1)``, and an
+      aggregator's children are the aggregators whose parent it is.
+    """
+    f = max(2, math.ceil(n ** (1 / levels)))
+    leaf_agg = [(i // f) * f for i in range(n)]
+    ranges: dict[int, tuple[int, int]] = {}
+    parent: dict[int, int | None] = {}
+    for a in range(0, n, f):
+        span = f
+        while span < n and a % (span * f) == 0:
+            span *= f
+        ranges[a] = (a, min(a + span, n))
+        parent[a] = None if span >= n else (a // (span * f)) * (span * f)
+    children: dict[int, list[int]] = {a: [] for a in ranges}
+    for a, up in parent.items():
+        if up is not None:
+            children[up].append(a)
+    return leaf_agg, ranges, parent, children
 
 
 class ReferenceState:
@@ -35,16 +69,20 @@ class ReferenceState:
         self.alive = {i: True for i in range(self.n)}
         # cache[i][target] = [believed_alive, observed_at]
         self.cache = {i: {t: [True, 0.0] for t in self.subs[i]} for i in range(self.n)}
+        # node i asks server home[i]: providers are ids 0..p-1, taken in
+        # turn; a tree node asks its leaf aggregator
+        servers = ()
+        if protocol.kind == CENTRAL:
+            servers = range(protocol.provider_count)
+            self.home = [i % protocol.provider_count for i in range(self.n)]
+        elif protocol.kind == HIERARCHICAL:
+            self.home, self.ranges, self.parent, self.children = tree_layout(
+                self.n, protocol.hierarchy_levels)
+            servers = self.ranges
         # a provider's or aggregator's cache: target -> (alive, observed_at),
         # and its [second, requests accepted in that second]
-        self.layout = None
-        self.server_cache: dict[int, dict[int, tuple[bool, float]]] = {}
-        self.requests: dict[int, list] = {}
-        if protocol.kind in (CENTRAL, HIERARCHICAL):
-            self.layout = build_global_view(self.n, protocol)
-            for s in self.layout.providers or self.layout.agg_children:
-                self.server_cache[s] = {}
-                self.requests[s] = [None, 0]
+        self.server_cache = {s: {} for s in servers}
+        self.requests = {s: [None, 0] for s in servers}
         # (t, sender, receiver, payload_entries) for every counted message
         self.records: list[tuple[float, int, int, int]] = []
 
@@ -110,11 +148,8 @@ class ReferenceState:
             self.poll_simple(i, now)
         elif kind == "transitive_p2p":
             self.poll_transitive(i, now)
-        elif kind == CENTRAL:
-            providers = self.layout.providers
-            self.poll_served(i, providers[i % len(providers)], now)
         else:
-            self.poll_served(i, self.layout.leaf_agg[i], now)
+            self.poll_served(i, self.home[i], now)
 
     def direct(self, requester: int, target: int, now: float) -> bool:
         self.send(requester, target, now)                 # request
@@ -173,13 +208,13 @@ class ReferenceState:
 
     def next_hop(self, server: int, target: int) -> int | None:
         """Where a server sends a stale target: None to poll it itself."""
-        gv = self.layout
-        if self.protocol.kind == CENTRAL or gv.leaf_agg[target] == server:
+        if self.protocol.kind == CENTRAL or self.home[target] == server:
             return None
-        lo, hi = gv.ranges[server]
+        lo, hi = self.ranges[server]
         if not lo <= target < hi:
-            return gv.parent[server]
-        return next(child for child, clo, chi in gv.agg_children[server] if clo <= target < chi)
+            return self.parent[server]
+        return next(child for child in self.children[server]
+                    if self.ranges[child][0] <= target < self.ranges[child][1])
 
     def serve(self, server: int, targets: list[int], now: float) -> dict:
         """Answer targets from the server's cache, refreshing stale entries

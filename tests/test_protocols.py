@@ -27,7 +27,8 @@ TRANSITIVE = ProtocolConfig(kind=TRANSITIVE_P2P)
 
 
 def fresh_dc(subs, window=10.0):
-    return DataCenter(subs, load_window_s=window)
+    # with its overlap pairs, so that any kind of poller can run on it
+    return DataCenter(subs, load_window_s=window, overlap_pairs=True)
 
 
 def slot_map(dc):
@@ -83,6 +84,12 @@ def test_poll_refreshes_entries_after_failure():
 
 
 # -- transitive ------------------------------------------------------------
+
+
+def test_transitive_poller_needs_a_centre_with_overlap_pairs():
+    dc = DataCenter([[1], [0]])
+    with pytest.raises(ValueError, match="overlap_pairs=True"):
+        make_poller(dc, TRANSITIVE, None)
 
 
 def test_transitive_with_stale_responder_cache_matches_simple():
@@ -363,7 +370,7 @@ def test_hierarchical_dead_aggregator_falls_back_to_direct():
 
 @pytest.mark.parametrize("kind", [CENTRAL, HIERARCHICAL, SIMPLE_P2P, TRANSITIVE_P2P])
 def test_zero_failures_every_protocol_stays_consistent(kind):
-    dc = build_datacenter(30, 5, RngStream("topology", 11))
+    dc = build_datacenter(30, 5, RngStream("topology", 11), overlap_pairs=True)
     poll = poller_for(dc, ProtocolConfig(kind=kind))
     stream = RngStream("drive", 4)
     now = 0.0
@@ -377,7 +384,7 @@ def test_zero_failures_every_protocol_stays_consistent(kind):
 def test_no_entry_older_than_staleness_after_a_cycle(kind):
     # relays only carry fresh information, so a completed update cycle
     # leaves every entry within the staleness threshold
-    dc = build_datacenter(30, 5, RngStream("topology", 19))
+    dc = build_datacenter(30, 5, RngStream("topology", 19), overlap_pairs=True)
     cfg = ProtocolConfig(kind=kind)
     poll = poller_for(dc, cfg)
     stream = RngStream("drive", 6)
@@ -402,6 +409,39 @@ def test_central_requester_link_cheaper_than_simple_per_cycle():
 
 
 # -- the pollers match the oracle after every step ------------------------------
+
+
+def global_view_next_hop(gv, server, target):
+    """Where server sends a stale target in build_global_view's tree: None
+    to poll it itself, else the parent or the covering child."""
+    if gv.leaf_agg[target] == server:
+        return None
+    lo, hi = gv.ranges[server]
+    if not lo <= target < hi:
+        return gv.parent[server]
+    return next(child for child, clo, chi in gv.agg_children[server] if clo <= target < chi)
+
+
+def test_oracle_layout_matches_build_global_view():
+    # the oracle lays out its servers by its own arithmetic, not through
+    # build_global_view; both must give every node the same server and
+    # every (server, target) the same next hop
+    for levels in (2, 3, 4):
+        cfg = ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=levels)
+        for n in range(1, 201):
+            gv = build_global_view(n, cfg)
+            oracle = ReferenceState([[] for _ in range(n)], cfg)
+            assert oracle.home == gv.leaf_agg
+            assert sorted(oracle.server_cache) == sorted(gv.agg_children)
+            for server in gv.agg_children:
+                assert [oracle.next_hop(server, t) for t in range(n)] == [
+                    global_view_next_hop(gv, server, t) for t in range(n)]
+    for n in range(1, 201):
+        cfg = ProtocolConfig(kind=CENTRAL, provider_count=min(3, n))
+        providers = build_global_view(n, cfg).providers
+        oracle = ReferenceState([[] for _ in range(n)], cfg)
+        assert sorted(oracle.server_cache) == providers
+        assert oracle.home == [providers[i % len(providers)] for i in range(n)]
 
 
 def assert_poller_matches_oracle(subs, cfg, steps, seed):
@@ -525,7 +565,7 @@ def test_served_pollers_apply_an_observation_on_a_tie(kind):
 def test_poller_holds_no_reference_cycle(kind):
     # a cycle through the poller would keep each finished run's whole state
     # alive until the cyclic collector next runs
-    dc = build_datacenter(30, 5, RngStream("topology", 2))
+    dc = build_datacenter(30, 5, RngStream("topology", 2), overlap_pairs=True)
     cfg = ProtocolConfig(kind=kind)
     gv = build_global_view(30, cfg) if kind in (CENTRAL, HIERARCHICAL) else None
     poller = make_poller(dc, cfg, gv)
