@@ -52,9 +52,7 @@ from .protocols import (
     GlobalView,
     ProtocolConfig,
     build_global_view,
-    direct_poll,
     make_poller,
-    provider_serve,
 )
 
 __version__ = "0.1.0"

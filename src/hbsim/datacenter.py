@@ -118,8 +118,6 @@ class DataCenter:
             raise ValueError(f"expected {n} subscription rows, got {len(subs)}")
 
         self.n = n
-        sizes = {len(row) for row in subs}
-        self.k = k if k is not None else (sizes.pop() if len(sizes) == 1 else None)
         self.switch = n
         self.alive = [True] * n
         self.subs = subs

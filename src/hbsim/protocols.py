@@ -16,10 +16,10 @@
 
 ``make_poller`` returns the per-run poller of each kind, the only
 implementation in the package: flat per-node rows and inlined accounting
-for the P2P kinds, and per-target cache lists with precomputed tree routes
-for the central and hierarchical kinds.  The naive oracle in
-``tests/reference_sim.py`` restates all four; the tests require identical
-state after every poll and identical whole runs.
+for the P2P kinds, and per-target cache lists with the routes that
+``build_global_view`` precomputes for the central and hierarchical kinds.
+The naive oracle in ``tests/reference_sim.py`` restates all four; the
+tests require identical state after every poll and identical whole runs.
 
 Staleness convention everywhere: an entry observed at ``ob`` is fresh at
 time ``now`` iff ``now - ob <= staleness_s``; only fresh entries are
@@ -32,7 +32,7 @@ a tie.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 from .datacenter import DataCenter
@@ -65,69 +65,60 @@ class ProtocolConfig:
             raise ValueError("max_requests_per_s must be >= 1 when set")
 
 
+_DIRECT = -1  # next-hop marker: the server polls the target itself
+
+
 @dataclass
 class GlobalView:
-    """Connection/referral state for the centralised topologies.
+    """The server layout of the central and hierarchical kinds, as the
+    served poller reads it.
 
-    The pollers read only the layout: ``providers``, or the tree fields,
-    which are empty for the central kind.  ``cache`` (provider -> target ->
-    (alive, observed_at)) and ``served`` (provider -> [second, count]) are
-    read only by ``provider_serve``.
+    ``home[i]`` is the provider or leaf aggregator node i asks, and
+    ``routes[s][t]`` is where server s sends a stale target t: the next
+    hop, or ``_DIRECT`` to poll it itself.  The servers are the keys of
+    ``routes``.
     """
-    providers: list[int] = field(default_factory=list)
-    cache: dict[int, dict[int, tuple[bool, float]]] = field(default_factory=dict)
-    served: dict[int, list[int]] = field(default_factory=dict)
-    leaf_agg: list[int] | None = None
-    parent: dict[int, int | None] = field(default_factory=dict)
-    agg_children: dict[int, list[tuple[int, int, int]]] = field(default_factory=dict)
-    ranges: dict[int, tuple[int, int]] = field(default_factory=dict)
-    root: int | None = None
+    home: list[int]
+    routes: dict[int, list[int]]
 
 
 def build_global_view(n: int, cfg: ProtocolConfig) -> GlobalView:
     """Lay out providers (central) or the aggregator tree (hierarchical).
 
     The layout is deterministic and seed-independent: providers are the
-    lowest node ids, groups are consecutive id ranges with fan-out
-    f = max(2, ceil(n^(1/levels))), and each group's aggregator is its
-    lowest id.  Level by level, every f consecutive aggregators form a group
-    headed by its first, which covers the group's ids, until one root is left.
+    lowest node ids, asked in turn (node i asks provider i mod p), and poll
+    every stale target themselves.  Tree groups are consecutive id ranges
+    with fan-out f = max(2, ceil(n^(1/levels))), and each group's
+    aggregator is its lowest id.  Level by level, every f consecutive
+    aggregators form a group headed by its first, which covers the group's
+    ids, until one root is left.  An aggregator sends a target outside its
+    range to its parent, a target in a child's range to that child, and
+    polls the rest of its range, its own leaf group, itself.
     """
     if cfg.kind == CENTRAL:
-        providers = list(range(cfg.provider_count))
-        return GlobalView(
-            providers=providers,
-            cache={p: {} for p in providers},
-            served={p: [-1, 0] for p in providers},
-        )
+        p = cfg.provider_count
+        return GlobalView([i % p for i in range(n)], dict.fromkeys(range(p), [_DIRECT] * n))
     if cfg.kind != HIERARCHICAL:
         raise ValueError("global view applies only to central/hierarchical")
 
-    gv = GlobalView()
     fan_out = max(2, math.ceil(n ** (1.0 / cfg.hierarchy_levels)))
-    gv.leaf_agg = [(i // fan_out) * fan_out for i in range(n)]
-    current = list(range(0, n, fan_out))
-    for agg in current:
-        gv.ranges[agg] = (agg, min(agg + fan_out, n))
-        gv.agg_children[agg] = []
-        gv.parent[agg] = None
-    while len(current) > 1:
-        nxt = []
-        for j in range(0, len(current), fan_out):
-            group = current[j:j + fan_out]
+    routes = {agg: [_DIRECT] * n for agg in range(0, n, fan_out)}
+    end = {agg: min(agg + fan_out, n) for agg in routes}  # range [agg, end[agg])
+    level = list(routes)
+    while len(level) > 1:
+        for j in range(0, len(level), fan_out):
+            group = level[j:j + fan_out]
             head = group[0]
-            lo = gv.ranges[group[0]][0]
-            hi = gv.ranges[group[-1]][1]
-            for member in group[1:]:
-                gv.parent[member] = head
-                gv.agg_children[head].append((member, *gv.ranges[member]))
-            gv.ranges[head] = (lo, hi)
-            nxt.append(head)
-        current = nxt
-    gv.root = current[0]
-    gv.cache = {a: {} for a in gv.agg_children}
-    gv.served = {a: [-1, 0] for a in gv.agg_children}
-    return gv
+            for child in group[1:]:
+                hi = end[child]
+                routes[head][child:hi] = [child] * (hi - child)
+                # the child's range is final, so the rest goes to its parent
+                up = routes[child]
+                up[:child] = [head] * child
+                up[hi:] = [head] * (n - hi)
+            end[head] = end[group[-1]]
+        level = level[::fan_out]
+    return GlobalView([(i // fan_out) * fan_out for i in range(n)], routes)
 
 
 # -- kept for the benchmark's trace level ------------------------------
@@ -150,23 +141,24 @@ def direct_poll(dc: DataCenter, requester: int, target: int, now: float):
     return alive, now
 
 
-def provider_serve(gv: GlobalView, provider: int, requester_targets, cfg: ProtocolConfig,
-                   dc: DataCenter, now: float, local: bool = False):
-    """Serve a batch of targets from a provider's cache.
+def provider_serve(cache: dict[int, tuple[bool, float]], counter: list[int] | None,
+                   provider: int, requester_targets, cfg: ProtocolConfig,
+                   dc: DataCenter, now: float):
+    """Serve a batch of targets from a provider's ``cache`` (target ->
+    (alive, observed_at)).
 
     Entries missing or older than the staleness threshold are re-fetched
     with an upstream direct poll first.  Returns the (target, alive,
     observed_at) list, or None when the per-second request cap refuses the
-    call.  ``local`` lookups (a provider serving itself) bypass the cap
-    and its counter.
+    call.  ``counter`` is the provider's [second, requests accepted in
+    that second]; a local lookup (a provider serving itself) passes None
+    and bypasses the cap.
 
-    Nothing in a run calls this, and only this reads ``gv.cache`` and
-    ``gv.served``: the central poller keeps its own caches.  It stays
-    because the benchmark's trace level (``perfbench/probe.py``) wraps it
-    by name, and fails to install without it.
+    Nothing in a run calls this: the served poller keeps its own caches.
+    It stays because the benchmark's trace level (``perfbench/probe.py``)
+    wraps it by name, and fails to install without it.
     """
-    if not local:
-        counter = gv.served[provider]
+    if counter is not None:
         sec = int(now)
         if counter[0] != sec:
             counter[0] = sec
@@ -175,7 +167,6 @@ def provider_serve(gv: GlobalView, provider: int, requester_targets, cfg: Protoc
         if cap is not None and counter[1] >= cap:
             return None
         counter[1] += 1
-    cache = gv.cache[provider]
     thr = cfg.staleness_s
     out = []
     for target in requester_targets:
@@ -205,14 +196,13 @@ def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
     centre's totals and load log.  It assumes the node is alive (the
     event dispatcher checks) and that calls arrive in nondecreasing time.
 
-    For the central and hierarchical kinds ``gv`` supplies only the layout
-    (providers, or the aggregator tree); the poller keeps its own caches,
-    which start empty as a fresh GlobalView's do, and leaves ``gv.cache``
-    and ``gv.served`` untouched.  Each provider or aggregator holds two
-    target-indexed lists (believed alive, observed at), and each aggregator
-    a third with its next hop per target, so memory is O(servers * n): about
-    0.8 MB for the 32-aggregator tree at n=1000, about 24 MB for a
-    100-aggregator tree at n=10000.
+    For the central and hierarchical kinds ``gv`` is the layout, whose
+    ``home`` and ``routes`` go to the served poller as they are; the poller
+    keeps its own caches, which start empty.  Each provider or aggregator
+    holds two target-indexed cache lists (believed alive, observed at),
+    beside its route list in ``gv`` (the providers share one), so memory is
+    O(servers * n): about 0.8 MB for the 32-aggregator tree at n=1000,
+    about 24 MB for a 100-aggregator tree at n=10000.
 
     The simple, central and hierarchical kinds all defer the target-link
     counts of a full-row poll through one flush, ``dc.pre_flush``: the served
@@ -225,10 +215,8 @@ def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
     ``tests/reference_sim.py`` is the oracle of all four pollers.
     """
     kind = cfg.kind
-    if kind == CENTRAL:
-        return _make_central_poller(dc, cfg, gv)
-    if kind == HIERARCHICAL:
-        return _make_hierarchical_poller(dc, cfg, gv)
+    if kind in (CENTRAL, HIERARCHICAL):
+        return _make_served_poller(dc, cfg, gv.home, gv.routes)
     if kind == SIMPLE_P2P:
         return _make_simple_poller(dc)
     if kind == TRANSITIVE_P2P:
@@ -239,7 +227,10 @@ def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
 def _make_simple_poller(dc: DataCenter):
     # Target-link accesses are deferred: each update adds 2 per subscription
     # (request + response) at window flush, minus one recorded immediately
-    # per currently-dead target (no response from the dead).
+    # per currently-dead target (no response from the dead).  A centre has
+    # one flush, so a second such poller on it would lose the first's counts.
+    if dc.pre_flush is not None:
+        raise ValueError("this centre already has a poller that defers its link counts")
     upd_counts = [0] * dc.n
     subs = dc.subs
     switch = dc.switch
@@ -352,41 +343,11 @@ def _make_transitive_poller(dc: DataCenter, staleness_s: float):
     return poll
 
 
-_DIRECT = -1  # next-hop marker: the server polls the target itself
-
-
-def _make_central_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView):
-    providers = gv.providers
-    home = [providers[i % len(providers)] for i in range(dc.n)]
-    direct = [_DIRECT] * dc.n  # a provider polls every stale target itself
-    return _make_served_poller(dc, cfg, home, {p: direct for p in providers})
-
-
-def _make_hierarchical_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView):
-    # The next hop of every (aggregator, target) pair: the parent outside
-    # the aggregator's range, the covering child inside a child's range, and
-    # a direct poll over the rest of the range, which is the aggregator's
-    # own leaf group.  The root's range is every node, so its parent of None
-    # never shows.
-    n = dc.n
-    routes = {}
-    for agg, children in gv.agg_children.items():
-        route = [gv.parent[agg]] * n
-        lo, hi = gv.ranges[agg]
-        route[lo:hi] = [_DIRECT] * (hi - lo)
-        for child, clo, chi in children:
-            route[clo:chi] = [child] * (chi - clo)
-        routes[agg] = route
-    return _make_served_poller(dc, cfg, gv.leaf_agg, routes)
-
-
 def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
                         routes: dict[int, list[int]]):
     """The poller shared by the central and hierarchical kinds.
 
-    ``home[i]`` is the provider or leaf aggregator node i asks, and
-    ``routes[s][t]`` the next hop server s sends a stale target t to, or
-    _DIRECT to poll it itself.  Staleness is tested as ``now - ob > thr``,
+    ``home`` and ``routes`` are a GlobalView's layout.  Staleness is tested as ``now - ob > thr``,
     never as ``ob < now - thr``, which can round differently; forwarded
     hops are visited in ascending id order; the cap counts requests per
     ``int(now)`` second and local serving skips it; an observation applies

@@ -1,7 +1,11 @@
 import gc
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from hbsim.protocols import (
     PROTOCOL_KINDS,
     SIMPLE_P2P,
     TRANSITIVE_P2P,
+    _DIRECT,
     ProtocolConfig,
     build_global_view,
     make_poller,
@@ -81,6 +86,18 @@ def test_poll_refreshes_entries_after_failure():
     slot = slot_map(dc)
     assert 7 not in [obs for obs in dc.subscribers[victim]
                      if dc.believed[obs][slot[obs][victim]] != dc.alive[victim]]
+
+
+@pytest.mark.parametrize("kind", [SIMPLE_P2P, CENTRAL, HIERARCHICAL])
+def test_a_second_deferring_poller_on_one_centre_is_refused(kind):
+    # a centre has one pre_flush: a second poller replacing it would lose
+    # the first poller's deferred target-link counts
+    dc = DataCenter([[1], [0]])
+    poller_for(dc, SIMPLE)(0, 1.0)
+    with pytest.raises(ValueError, match="already has a poller"):
+        poller_for(dc, ProtocolConfig(kind=kind))
+    # target 1's link keeps the request and response of node 0's poll
+    assert dc.finish_load(1.0) == [(0.0, 0, 2, 0), (0.0, 1, 2, 0), (0.0, dc.switch, 2, 0)]
 
 
 # -- transitive ------------------------------------------------------------
@@ -195,9 +212,12 @@ def central_setup(n=12, k=3, seed=5, **cfg_kw):
 
 
 def test_build_global_view_central_designates_lowest_ids():
-    assert build_global_view(12, ProtocolConfig(kind=CENTRAL)).providers == [0]
+    gv = build_global_view(12, ProtocolConfig(kind=CENTRAL))
+    assert gv.home == [0] * 12
+    assert gv.routes == {0: [_DIRECT] * 12}
     gv3 = build_global_view(12, ProtocolConfig(kind=CENTRAL, provider_count=3))
-    assert gv3.providers == [0, 1, 2]
+    assert gv3.home == [0, 1, 2] * 4        # taken in turn
+    assert gv3.routes == dict.fromkeys([0, 1, 2], [_DIRECT] * 12)
 
 
 def test_central_fresh_cache_costs_two_messages():
@@ -271,19 +291,22 @@ TREE2 = ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=2)
 
 
 def test_build_global_view_hierarchy_n9():
+    D = _DIRECT
     gv = build_global_view(9, TREE2)
-    assert gv.leaf_agg == [0, 0, 0, 3, 3, 3, 6, 6, 6]
-    assert gv.root == 0
-    assert gv.ranges[0] == (0, 9)
-    assert gv.ranges[3] == (3, 6)
-    assert sorted(gv.agg_children) == [0, 3, 6]
+    assert gv.home == [0, 0, 0, 3, 3, 3, 6, 6, 6]
+    assert sorted(gv.routes) == [0, 3, 6]
+    # the root polls its own group and hands the others to their aggregators
+    assert gv.routes[0] == [D, D, D, 3, 3, 3, 6, 6, 6]
+    # a leaf polls its own group and sends everything else to the root
+    assert gv.routes[3] == [0, 0, 0, D, D, D, 0, 0, 0]
+    assert gv.routes[6] == [0, 0, 0, 0, 0, 0, D, D, D]
 
 
 def test_build_global_view_single_node():
     cfg = ProtocolConfig(kind=HIERARCHICAL)
     gv = build_global_view(1, cfg)
-    assert gv.root == 0
-    assert gv.leaf_agg == [0]
+    assert gv.home == [0]
+    assert gv.routes == {0: [_DIRECT]}
 
 
 def test_hierarchical_same_group_single_aggregator_hop():
@@ -337,9 +360,9 @@ def test_hierarchical_three_levels_routes_through_each_tier():
     dc = fresh_dc(subs)
     cfg = ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=3)
     gv = build_global_view(27, cfg)
-    assert [gv.leaf_agg[node] for node in (4, 5, 1, 19, 25, 26)] == [3, 3, 0, 18, 24, 24]
-    assert gv.ranges[0] == (0, 27)
-    assert gv.ranges[18] == (18, 27)
+    assert [gv.home[node] for node in (4, 5, 1, 19, 25, 26)] == [3, 3, 0, 18, 24, 24]
+    # target 26 goes up from 3 to the root 0, then down through 18 and 24
+    assert [gv.routes[agg][26] for agg in (3, 0, 18, 24)] == [0, 18, 24, _DIRECT]
     poll = make_poller(dc, cfg, gv)
     poll(4, 2.0)
     # request chain 4-3-0-18-24-26 and the response back: ten messages
@@ -411,37 +434,21 @@ def test_central_requester_link_cheaper_than_simple_per_cycle():
 # -- the pollers match the oracle after every step ------------------------------
 
 
-def global_view_next_hop(gv, server, target):
-    """Where server sends a stale target in build_global_view's tree: None
-    to poll it itself, else the parent or the covering child."""
-    if gv.leaf_agg[target] == server:
-        return None
-    lo, hi = gv.ranges[server]
-    if not lo <= target < hi:
-        return gv.parent[server]
-    return next(child for child, clo, chi in gv.agg_children[server] if clo <= target < chi)
-
-
 def test_oracle_layout_matches_build_global_view():
     # the oracle lays out its servers by its own arithmetic, not through
     # build_global_view; both must give every node the same server and
-    # every (server, target) the same next hop
-    for levels in (2, 3, 4):
-        cfg = ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=levels)
-        for n in range(1, 201):
+    # every (server, target) the same next hop, the oracle's None being
+    # the routes' _DIRECT
+    cfgs = [ProtocolConfig(kind=HIERARCHICAL, hierarchy_levels=levels) for levels in (2, 3, 4)]
+    for n in range(1, 201):
+        for cfg in [*cfgs, ProtocolConfig(kind=CENTRAL, provider_count=min(3, n))]:
             gv = build_global_view(n, cfg)
             oracle = ReferenceState([[] for _ in range(n)], cfg)
-            assert oracle.home == gv.leaf_agg
-            assert sorted(oracle.server_cache) == sorted(gv.agg_children)
-            for server in gv.agg_children:
+            assert oracle.home == gv.home
+            assert sorted(oracle.server_cache) == sorted(gv.routes)
+            for server, route in gv.routes.items():
                 assert [oracle.next_hop(server, t) for t in range(n)] == [
-                    global_view_next_hop(gv, server, t) for t in range(n)]
-    for n in range(1, 201):
-        cfg = ProtocolConfig(kind=CENTRAL, provider_count=min(3, n))
-        providers = build_global_view(n, cfg).providers
-        oracle = ReferenceState([[] for _ in range(n)], cfg)
-        assert sorted(oracle.server_cache) == providers
-        assert oracle.home == [providers[i % len(providers)] for i in range(n)]
+                    None if hop == _DIRECT else hop for hop in route]
 
 
 def assert_poller_matches_oracle(subs, cfg, steps, seed):
@@ -578,6 +585,20 @@ def test_poller_holds_no_reference_cycle(kind):
     finally:
         gc.enable()
 
+
+def test_the_benchmarks_trace_level_installs():
+    # perfbench/probe.py wraps direct_poll, provider_serve and some
+    # DataCenter methods by name, so renaming or deleting one breaks it
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "perfbench"), str(root / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", "import probe; probe.install('trace')"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 # -- overlap-pair build matches the dict-probe oracle ---------------------------
 
 
@@ -664,13 +685,11 @@ def test_overlap_pairs_match_oracle_with_unequal_rows_across_bytes():
     rng = random.Random(17)
     rows = [rng.sample([t for t in range(17) if t != i], i) for i in range(17)]
     dc = DataCenter(rows)
-    assert dc.k is None
     assert build_overlap_pairs(dc.subs) == reference_overlap_pairs(dc)
 
 
 def test_overlap_pairs_match_oracle_with_unequal_rows():
     dc = DataCenter([[1, 2, 3, 4], [0], [], [0, 1, 2], [3, 0]])
-    assert dc.k is None
     pairs = build_overlap_pairs(dc.subs)
     assert pairs == reference_overlap_pairs(dc)
     # node 0 and node 3 share targets 1 and 2, at slots 0,1 in 0 and 1,2 in 3
