@@ -38,7 +38,7 @@ from .protocols import PROTOCOL_KINDS
 
 def _load_config(path: str) -> ExperimentConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)

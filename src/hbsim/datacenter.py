@@ -17,7 +17,14 @@ operation scripts.
 Load accounting: every message touches three components once each --
 the sender's link, the receiver's link, and the switch.  Counts are
 aggregated per component into fixed-width time windows.  Bulk responses
-additionally carry a payload_entries count, tracked separately.
+additionally carry a payload_entries count, tracked separately.  Two
+rules keep the log cheap, and both live here.  A poll of node i's whole
+row only adds 1 to ``full_polls[i]``, and the window flush adds the 2
+target-link messages per subscription (request and response) of each such
+poll.  The switch carries every message exactly once, so nothing counts
+it: the flush derives its row from the growth of ``total_messages`` and
+``total_payload`` since the last flush, which is why those totals must
+only ever grow.
 
 Memory is what limits the n a run can reach, so the per-subscription
 state is three parallel list rows per node (target ids, beliefs,
@@ -74,9 +81,13 @@ class DataCenter:
       accounting.
 
     The switch is component index ``n`` in the load log; node components
-    are their own indices.  ``next_boundary`` is the first time of the
-    window after the current one, so a poll divides by the window width
-    only when it may have to rotate the log.  Protocol code in this package mutates the
+    are their own indices.  Traffic goes to the window's ``_win_msgs`` and
+    ``_win_pay`` and to ``total_messages`` and ``total_payload``, which
+    only grow, since the switch's row is their growth in the window; a
+    whole-row poll of node i adds 1 to ``full_polls[i]`` instead of its
+    target links.  ``next_boundary`` is the first time of the window after
+    the current one, so a poll divides by the window width only when it
+    may have to rotate the log.  Protocol code in this package mutates the
     believed/observed rows directly; everything else must go through
     :meth:`apply_observation` and :meth:`set_liveness` so the incremental
     inconsistency count stays true.
@@ -118,7 +129,6 @@ class DataCenter:
             raise ValueError(f"expected {n} subscription rows, got {len(subs)}")
 
         self.n = n
-        self.switch = n
         self.alive = [True] * n
         self.subs = subs
         # before any per-subscription state: see the module docstring
@@ -140,14 +150,16 @@ class DataCenter:
         self.load_window_s = load_window_s
         self._win = 0
         self.next_boundary = self._first_time_in_window(1)
-        self._win_msgs = [0] * (n + 1)
+        self._win_msgs = [0] * (n + 1)  # the switch's slot is filled at flush
         self._win_pay = [0] * (n + 1)
         self._load_rows: list[tuple[float, int, int, int]] = []
-        # callback(window_index) before rotation: the simple poller's flush of the
-        # full-row target-link counts that simple, central and hierarchical defer
-        self.pre_flush = None
+        # full_polls[i]: node i's whole-row polls in the window, whose 2
+        # messages per target link the flush adds
+        self.full_polls = [0] * n
         self.total_messages = 0
         self.total_payload = 0
+        self._flushed_messages = 0  # the totals at the last flush
+        self._flushed_payload = 0
 
     # -- ground truth -------------------------------------------------
 
@@ -217,18 +229,6 @@ class DataCenter:
 
     # -- load log -------------------------------------------------------
 
-    def _flush_window(self) -> None:
-        msgs = self._win_msgs
-        pay = self._win_pay
-        start = self._win * self.load_window_s
-        rows = self._load_rows
-        # compress() skips the quiet components in C
-        for comp in compress(range(self.n + 1), msgs):
-            rows.append((start, comp, msgs[comp], pay[comp]))
-            msgs[comp] = 0
-            if pay[comp]:
-                pay[comp] = 0
-
     def _first_time_in_window(self, win: int) -> float:
         """The smallest float t with ``int(t / load_window_s) >= win``, or
         inf when no finite t has it.
@@ -263,15 +263,36 @@ class DataCenter:
         win = int(t / self.load_window_s)
         if win <= self._win:
             return
-        if self.pre_flush is not None:
-            self.pre_flush(self._win)
-        self._flush_window()
+        n = self.n
+        msgs = self._win_msgs
+        pay = self._win_pay
+        full = self.full_polls
+        subs = self.subs
+        # the deferred target links of the nodes that polled, found in C
+        for i in compress(range(n), full):
+            cc = 2 * full[i]
+            for u in subs[i]:
+                msgs[u] += cc
+            full[i] = 0
+        msgs[n] = self.total_messages - self._flushed_messages
+        pay[n] = self.total_payload - self._flushed_payload
+        self._flushed_messages = self.total_messages
+        self._flushed_payload = self.total_payload
+        start = self._win * self.load_window_s
+        rows = self._load_rows
+        # compress() skips the quiet components in C
+        for comp in compress(range(n + 1), msgs):
+            rows.append((start, comp, msgs[comp], pay[comp]))
+            msgs[comp] = 0
+            if pay[comp]:
+                pay[comp] = 0
         self._win = win
         self.next_boundary = self._first_time_in_window(win + 1)
 
     def message(self, sender: int, receiver: int, t: float,
                 payload_entries: int = 0) -> None:
-        """Count one message: sender link, receiver link, and switch.
+        """Count one message: sender link, receiver link, and, through the
+        totals, the switch.
 
         Component-local traffic (sender == receiver) stays off the network
         and is not counted.
@@ -282,12 +303,10 @@ class DataCenter:
         msgs = self._win_msgs
         msgs[sender] += 1
         msgs[receiver] += 1
-        msgs[self.switch] += 1
         if payload_entries:
             pay = self._win_pay
             pay[sender] += payload_entries
             pay[receiver] += payload_entries
-            pay[self.switch] += payload_entries
         self.total_messages += 1
         self.total_payload += payload_entries
 

@@ -77,7 +77,6 @@ class ExperimentConfig:
     update_min_s: float = 0.8
     update_max_s: float = 1.2
     load_window_s: float = 10.0
-    output_dir: str | None = None
 
     def normalized(self) -> "ExperimentConfig":
         """Fill defaults and check every invariant; returns a valid copy."""

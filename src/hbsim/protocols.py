@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 from .datacenter import DataCenter
 
@@ -204,9 +203,9 @@ def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
     O(servers * n): about 0.8 MB for the 32-aggregator tree at n=1000,
     about 24 MB for a 100-aggregator tree at n=10000.
 
-    The simple, central and hierarchical kinds all defer the target-link
-    counts of a full-row poll through one flush, ``dc.pre_flush``: the served
-    kinds' fallback, when their server is dead or refuses, is the simple poll.
+    A simple poll, which the central and hierarchical kinds fall back to
+    when their server is dead or refuses, counts itself in
+    ``dc.full_polls`` and leaves its target links to the centre's flush.
 
     The transitive poller relays over ``dc.overlap_pairs``, which
     ``init_run`` has the centre build during its own set-up; for a centre
@@ -225,29 +224,13 @@ def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
 
 
 def _make_simple_poller(dc: DataCenter):
-    # Target-link accesses are deferred: each update adds 2 per subscription
-    # (request + response) at window flush, minus one recorded immediately
-    # per currently-dead target (no response from the dead).  A centre has
-    # one flush, so a second such poller on it would lose the first's counts.
-    if dc.pre_flush is not None:
-        raise ValueError("this centre already has a poller that defers its link counts")
-    upd_counts = [0] * dc.n
-    subs = dc.subs
-    switch = dc.switch
-
-    def flush(_window: int, _upd=upd_counts, _subs=subs, _wl=dc._win_msgs, _n=dc.n):
-        # only the nodes that updated in this window, found in C
-        for i in compress(range(_n), _upd):
-            cc = 2 * _upd[i]
-            for t in _subs[i]:
-                _wl[t] += cc
-            _upd[i] = 0
-
-    dc.pre_flush = flush
-
-    def poll(i, now, _dc=dc, _subs=subs, _alive=dc.alive, _believed=dc.believed,
-             _observed=dc.observed, _dead=dc.dead_targets, _upd=upd_counts,
-             _wl=dc._win_msgs, _bad=dc.bad_count, _switch=switch):
+    # Target-link accesses are deferred: the centre's flush adds 2 per
+    # subscription (request + response) for each count in full_polls, and
+    # one is taken off here per currently-dead target (no response from the
+    # dead).
+    def poll(i, now, _dc=dc, _subs=dc.subs, _alive=dc.alive, _believed=dc.believed,
+             _observed=dc.observed, _dead=dc.dead_targets, _full=dc.full_polls,
+             _wl=dc._win_msgs, _bad=dc.bad_count):
         if now >= _dc.next_boundary:
             _dc.advance_window(now)
         subs_i = _subs[i]
@@ -257,13 +240,12 @@ def _make_simple_poller(dc: DataCenter):
         resp = k - len(dead)
         _believed[i] = nb
         _observed[i] = [now] * k
-        _upd[i] += 1
+        _full[i] += 1
         if dead:
             for t in dead:
                 _wl[t] -= 1
         traffic = k + resp
         _wl[i] += traffic
-        _wl[_switch] += traffic
         _dc.total_messages += traffic
         if _bad[i]:
             _bad[i] = 0
@@ -279,7 +261,7 @@ def _make_transitive_poller(dc: DataCenter, staleness_s: float):
 
     def poll(i, now, _dc=dc, _subs=dc.subs, _alive=dc.alive, _believed=dc.believed,
              _observed=dc.observed, _pairs=pairs, _wl=dc._win_msgs, _wp=dc._win_pay,
-             _bad=dc.bad_count, _switch=dc.switch, _thr=staleness_s):
+             _bad=dc.bad_count, _thr=staleness_s):
         if now >= _dc.next_boundary:
             _dc.advance_window(now)
         cut = now - _thr
@@ -327,11 +309,9 @@ def _make_transitive_poller(dc: DataCenter, staleness_s: float):
                     _wl[t] += 1
         if traffic:
             _wl[i] += traffic
-            _wl[_switch] += traffic
             _dc.total_messages += traffic
             if pay:
                 _wp[i] += pay
-                _wp[_switch] += pay
                 _dc.total_payload += pay
             if bad != entry_bad:
                 _bad[i] = bad
@@ -353,7 +333,7 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
     ``int(now)`` second and local serving skips it; an observation applies
     unless it is older than the cached one; and a requester whose server is
     dead or refuses sends it one unanswered request, then runs the simple
-    poll, whose flush defers the target-link counts.
+    poll, which leaves its target-link counts to the centre's flush.
     """
     n = dc.n
     alive = dc.alive
@@ -361,7 +341,6 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
     cap = cfg.max_requests_per_s
     wl = dc._win_msgs
     wp = dc._win_pay
-    switch = dc.switch
     cache_alive: list = [None] * n
     cache_obs: list = [None] * n
     route: list = [None] * n
@@ -448,16 +427,14 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
             wl[t] += x
         if m:
             wl[s] += m
-            wl[switch] += m
             dc.total_messages += m
             if pay:
                 wp[s] += pay
-                wp[switch] += pay
                 dc.total_payload += pay
 
     def poll(i, now, _dc=dc, _subs=dc.subs, _alive=alive, _believed=dc.believed,
              _observed=dc.observed, _bad=dc.bad_count, _home=home, _wl=wl, _wp=wp,
-             _switch=switch, _simple=_make_simple_poller(dc)):
+             _simple=_make_simple_poller(dc)):
         subs_i = _subs[i]
         if not subs_i:
             return
@@ -471,18 +448,15 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
             k = len(subs_i)
             _wl[i] += 2
             _wl[s] += 2
-            _wl[_switch] += 2
             _dc.total_messages += 2
             _wp[i] += k
             _wp[s] += k
-            _wp[_switch] += k
             _dc.total_payload += k
         else:
             # the server is dead or refuses: one unanswered request, then the
             # simple P2P poll leaves every entry true as of now
             _wl[i] += 1
             _wl[s] += 1
-            _wl[_switch] += 1
             _dc.total_messages += 1
             _simple(i, now)
             return

@@ -177,6 +177,18 @@ def test_config_error_reported_with_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_with_a_byte_order_mark_runs_as_without(cfg_file, tmp_path):
+    marked = tmp_path / "marked.cfg"
+    marked.write_text(BASE_CFG, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    assert main(["run", "--config", str(cfg_file), "--out", str(a)]) == 0
+    assert main(["run", "--config", str(marked), "--out", str(b)]) == 0
+    for name in ("probes.csv", "failures.csv", "load.csv", "summary.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_oversized_node_count_is_a_config_error(tmp_path, capsys):
     huge = tmp_path / "huge.cfg"
     huge.write_text("nodes=" + "9" * 400 + "\n", encoding="utf-8")

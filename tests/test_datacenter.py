@@ -311,18 +311,18 @@ def test_quiet_windows_produce_no_rows():
 
 
 def test_a_jump_over_many_windows_flushes_only_the_current_one():
-    # 1e12 windows of 1 ps each elapse between the two messages
-    dc, flushed = window_log(1e-12)
-    dc.message(0, 1, t=1e-13)
+    # 1e12 windows of 1 ps each elapse between the poll and the message
+    dc = window_log(1e-12)
+    poll_row(dc, 0, 1e-13)
     dc.message(1, 0, t=1.0)
     win = int(1.0 / 1e-12)
-    assert flushed == [0]
+    # window 0 flushed, with the deferred target link of node 0's poll
+    assert dc._load_rows == [(0.0, 0, 2, 0), (0.0, 1, 2, 0), (0.0, 2, 2, 0)]
+    assert dc.full_polls == [0, 0]
     assert dc._win == win
     assert int(dc.next_boundary / 1e-12) == win + 1
     rows = dc.finish_load(1.0)
-    assert flushed == [0, win]
-    assert rows == [(0.0, 0, 1, 0), (0.0, 1, 1, 0), (0.0, 2, 1, 0),
-                    (win * 1e-12, 0, 1, 0), (win * 1e-12, 1, 1, 0), (win * 1e-12, 2, 1, 0)]
+    assert rows[3:] == [(win * 1e-12, 0, 1, 0), (win * 1e-12, 1, 1, 0), (win * 1e-12, 2, 1, 0)]
 
 
 def test_payload_entries_tracked_separately():
@@ -353,32 +353,39 @@ def window_and_times(draw):
 
 
 def window_log(w):
-    """A two-node centre whose pre_flush records every rotation it sees."""
-    dc = DataCenter([[1], [0]], load_window_s=w)
-    flushed = []
-    dc.pre_flush = flushed.append
-    return dc, flushed
+    """A two-node centre, each node subscribed to the other."""
+    return DataCenter([[1], [0]], load_window_s=w)
+
+
+def poll_row(dc, i, t):
+    """What a simple poll of node i at time t logs: its request and its
+    target's response on its own link and the totals, while the target's
+    link waits in ``full_polls`` for the flush."""
+    if t >= dc.next_boundary:
+        dc.advance_window(t)
+    dc._win_msgs[i] += 2
+    dc.total_messages += 2
+    dc.full_polls[i] += 1
 
 
 @settings(max_examples=300, deadline=None)
 @given(window_and_times())
 def test_guarded_rotation_matches_rotating_every_time(case):
     w, times = case
-    every, every_flushed = window_log(w)
-    guarded, guarded_flushed = window_log(w)
+    every = window_log(w)
+    guarded = window_log(w)
     for step, t in enumerate(times):
         every.advance_window(t)
-        if t >= guarded.next_boundary:
-            guarded.advance_window(t)
+        poll_row(every, step % 2, t)
+        poll_row(guarded, step % 2, t)
         # the boundary is the first float of the next window, exactly
         nb = guarded.next_boundary
         assert int(nb / w) > guarded._win
         assert int(math.nextafter(nb, -math.inf) / w) <= guarded._win
-        for dc in (every, guarded):
-            dc._win_msgs[step % 3] += 1
+        # the same flushes: the same rows, and the same polls still deferred
         assert guarded._win == every._win
         assert guarded._load_rows == every._load_rows
-        assert guarded_flushed == every_flushed
+        assert guarded.full_polls == every.full_polls
     end = times[-1] if times else 0.0
     assert guarded.finish_load(end) == every.finish_load(end)
 

@@ -88,16 +88,34 @@ def test_poll_refreshes_entries_after_failure():
                      if dc.believed[obs][slot[obs][victim]] != dc.alive[victim]]
 
 
-@pytest.mark.parametrize("kind", [SIMPLE_P2P, CENTRAL, HIERARCHICAL])
-def test_a_second_deferring_poller_on_one_centre_is_refused(kind):
-    # a centre has one pre_flush: a second poller replacing it would lose
-    # the first poller's deferred target-link counts
-    dc = DataCenter([[1], [0]])
-    poller_for(dc, SIMPLE)(0, 1.0)
-    with pytest.raises(ValueError, match="already has a poller"):
-        poller_for(dc, ProtocolConfig(kind=kind))
-    # target 1's link keeps the request and response of node 0's poll
-    assert dc.finish_load(1.0) == [(0.0, 0, 2, 0), (0.0, 1, 2, 0), (0.0, dc.switch, 2, 0)]
+@pytest.mark.parametrize("kind", [CENTRAL, HIERARCHICAL])
+def test_a_simple_and_a_served_poller_defer_on_one_centre(kind):
+    # the centre flushes every poller's deferred target-link counts, so a
+    # simple poller and a served one whose fallback polls can share it
+    dc = fresh_dc([[1, 2], [0, 2], [0, 1]], window=1.0)
+    simple = poller_for(dc, SIMPLE)
+    served = poller_for(dc, ProtocolConfig(kind=kind))
+    dc.set_liveness(0, False)  # node 1's server: node 1 falls back to polling
+    simple(2, 0.5)
+    served(1, 0.5)
+    totals = [(dc.total_messages, dc.total_payload)]
+    dc.set_liveness(0, True)   # now node 1 is served, with a payload
+    served(1, 1.5)
+    simple(2, 1.5)
+    totals.append((dc.total_messages, dc.total_payload))
+    rows = dc.finish_load(1.5)
+    # 2 messages per alive target of each poll, 1 per dead one, and node 1's
+    # unanswered request to its server
+    assert rows[:4] == [(0.0, 0, 3, 0), (0.0, 1, 6, 0), (0.0, 2, 5, 0), (0.0, dc.n, 7, 0)]
+    before = (0, 0)
+    for start, now in zip((0.0, 1.0), totals):
+        window = [row[1:] for row in rows if row[0] == start]
+        # the switch's row is what the totals grew by in the window
+        assert window[-1] == (dc.n, now[0] - before[0], now[1] - before[1])
+        # every message touches two links, each once
+        assert sum(m for _, m, _ in window[:-1]) == 2 * window[-1][1]
+        assert sum(p for _, _, p in window[:-1]) == 2 * window[-1][2]
+        before = now
 
 
 # -- transitive ------------------------------------------------------------
@@ -331,7 +349,7 @@ def test_hierarchical_sibling_subtree_routes_through_root():
     assert dc.believed[1] == [True]
     assert dc.observed[1] == [2.0]
     rows = {c: m for _, c, m, _ in dc.finish_load(2.0)}
-    assert rows[dc.switch] == 6
+    assert rows[dc.n] == 6  # the switch
     # cached at agg6 on the way back: node 8's request is answered there
     poll(8, 2.5)
     assert dc.total_messages == 6 + 2
