@@ -9,10 +9,13 @@ the operating (alive) nodes in that state.  A dead node keeps its frozen
 cache and usually drifts out of date, but it holds no view anybody acts
 on, so it only re-enters the count if it is revived before re-polling.
 
-The count is maintained incrementally (``bad_count`` per node plus a
-global tally of alive nodes with at least one bad entry) so probing is
-O(1); the test suite checks it against a full rescan after randomized
-operation scripts.
+Each node's ``bad_count``, its number of wrong entries, is maintained
+incrementally, so a poll costs O(k) and a failure event O(subscribers).
+The count itself is derived from the bad counts where it is read
+(:attr:`DataCenter.inconsistent`), by one C-level pass over the n nodes:
+about 10-15 us per 1000 nodes, once per probe and once per failure
+event.  The test suite checks every ``bad_count`` against a full rescan
+after randomized operation scripts that poll through all four pollers.
 
 Load accounting: every message touches three components once each --
 the sender's link, the receiver's link, and the switch.  Counts are
@@ -76,9 +79,10 @@ class DataCenter:
       4 B each.  Only :meth:`set_liveness` reads it, once per failure
       event; it finds each observer's slot by ``bisect_left(subs[observer],
       t)``.
-    * per node: ``alive``, ``bad_count`` and ``dead_targets``, the latter
-      holding a node's currently dead targets for the pollers' response
-      accounting.
+    * per node: ``alive``, ``bad_count`` (the number of the node's entries
+      that disagree with their target's ground truth, dead nodes
+      included) and ``dead_targets``, the latter holding a node's
+      currently dead targets for the pollers' response accounting.
 
     The switch is component index ``n`` in the load log; node components
     are their own indices.  Traffic goes to the window's ``_win_msgs`` and
@@ -89,8 +93,8 @@ class DataCenter:
     the current one, so a poll divides by the window width only when it
     may have to rotate the log.  Protocol code in this package mutates the
     believed/observed rows directly; everything else must go through
-    :meth:`apply_observation` and :meth:`set_liveness` so the incremental
-    inconsistency count stays true.
+    :meth:`apply_observation` and :meth:`set_liveness` so every
+    ``bad_count``, from which :attr:`inconsistent` is derived, stays true.
 
     ``subscriptions`` rows may come in any order and are stored sorted.  A
     row with a target outside ``[0, n)``, a duplicate, the node itself, or
@@ -141,7 +145,6 @@ class DataCenter:
             for t in row:
                 subscribers[t].append(i)
         self.bad_count = [0] * n
-        self.inconsistent = 0
         # per-node list of currently dead targets, kept for cheap response
         # accounting in the hot poll paths
         self.dead_targets: list[list[int]] = [[] for _ in range(n)]
@@ -168,25 +171,15 @@ class DataCenter:
         if self.alive[node] == alive:
             return
         self.alive[node] = alive
-        # the node's own stale cache counts only while the node operates
-        if self.bad_count[node]:
-            self.inconsistent += 1 if alive else -1
         bad_count = self.bad_count
         believed = self.believed
         subs = self.subs
-        alive_flags = self.alive
         for observer in self.subscribers[node]:
             # every subscriber entry flips consistency status
             if believed[observer][bisect_left(subs[observer], node)] == alive:
-                bad = bad_count[observer] - 1
-                bad_count[observer] = bad
-                if bad == 0 and alive_flags[observer]:
-                    self.inconsistent -= 1
+                bad_count[observer] -= 1
             else:
-                bad = bad_count[observer]
-                bad_count[observer] = bad + 1
-                if bad == 0 and alive_flags[observer]:
-                    self.inconsistent += 1
+                bad_count[observer] += 1
             if alive:
                 self.dead_targets[observer].remove(node)
             else:
@@ -210,22 +203,24 @@ class DataCenter:
             return False
         row_bel = self.believed[observer]
         if row_bel[slot] != alive:
-            truth = self.alive[target]
-            was_bad = row_bel[slot] != truth
-            now_bad = alive != truth
+            # a flipped belief turns wrong if it now disagrees with the
+            # truth, and right otherwise
+            self.bad_count[observer] += 1 if alive != self.alive[target] else -1
             row_bel[slot] = alive
-            if was_bad != now_bad:
-                bad = self.bad_count[observer]
-                if now_bad:
-                    self.bad_count[observer] = bad + 1
-                    if bad == 0 and self.alive[observer]:
-                        self.inconsistent += 1
-                else:
-                    self.bad_count[observer] = bad - 1
-                    if bad == 1 and self.alive[observer]:
-                        self.inconsistent -= 1
         row_obs[slot] = observed_at
         return True
+
+    @property
+    def inconsistent(self) -> int:
+        """The number of alive nodes with at least one wrong cached belief.
+
+        Derived on every read from ``bad_count`` by one C-level pass over
+        the n nodes, which sums the alive flags of those with a nonzero
+        count: 10-15 us at n=1000 and 100-140 us at n=10 000 (CPython 3.11
+        on a 2-vCPU Xeon VM).  A run reads it once per probe and once per
+        failure event.  Read-only: assigning to it raises AttributeError.
+        """
+        return sum(compress(self.alive, self.bad_count))
 
     # -- load log -------------------------------------------------------
 

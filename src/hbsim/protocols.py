@@ -32,6 +32,7 @@ a tie.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .datacenter import DataCenter
@@ -60,6 +61,10 @@ class ProtocolConfig:
             raise ValueError(f"provider_count must be in [1, {n}]")
         if self.kind == HIERARCHICAL and self.hierarchy_levels < 2:
             raise ValueError("hierarchy_levels must be >= 2")
+        if self.kind == HIERARCHICAL and self.hierarchy_levels > sys.float_info.max:
+            # build_global_view takes 1 / hierarchy_levels as a float
+            raise ValueError(
+                f"hierarchy_levels must not exceed the largest float, {sys.float_info.max}")
         if self.max_requests_per_s is not None and self.max_requests_per_s < 1:
             raise ValueError("max_requests_per_s must be >= 1 when set")
 
@@ -247,9 +252,7 @@ def _make_simple_poller(dc: DataCenter):
         traffic = k + resp
         _wl[i] += traffic
         _dc.total_messages += traffic
-        if _bad[i]:
-            _bad[i] = 0
-            _dc.inconsistent -= 1
+        _bad[i] = 0
 
     return poll
 
@@ -271,8 +274,7 @@ def _make_transitive_poller(dc: DataCenter, staleness_s: float):
         prs = _pairs[i]
         traffic = 0  # the requester's messages: 2 per alive target, 1 per dead
         pay = 0
-        entry_bad = _bad[i]
-        bad = entry_bad
+        bad = _bad[i]
         for s, o in enumerate(obs_i):
             if o < cut:
                 t = subs_i[s]
@@ -313,12 +315,7 @@ def _make_transitive_poller(dc: DataCenter, staleness_s: float):
             if pay:
                 _wp[i] += pay
                 _dc.total_payload += pay
-            if bad != entry_bad:
-                _bad[i] = bad
-                if bad == 0:
-                    _dc.inconsistent -= 1
-                elif entry_bad == 0:
-                    _dc.inconsistent += 1
+            _bad[i] = bad
 
     return poll
 
@@ -465,8 +462,7 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
         co = cache_obs[s]
         bel_i = _believed[i]
         obs_i = _observed[i]
-        entry_bad = _bad[i]
-        bad = entry_bad
+        bad = _bad[i]
         for j, t in enumerate(subs_i):
             ob = co[t]
             if ob >= obs_i[j]:
@@ -476,11 +472,6 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
                     bad += (v != truth) - (bel_i[j] != truth)
                     bel_i[j] = v
                 obs_i[j] = ob
-        if bad != entry_bad:
-            _bad[i] = bad
-            if bad == 0:
-                _dc.inconsistent -= 1
-            elif entry_bad == 0:
-                _dc.inconsistent += 1
+        _bad[i] = bad
 
     return poll

@@ -10,6 +10,15 @@ from hypothesis import strategies as st
 
 from hbsim.datacenter import DataCenter, NotSubscribedError, build_datacenter, build_overlap_pairs
 from hbsim.des import RngStream
+from hbsim.protocols import (
+    CENTRAL,
+    HIERARCHICAL,
+    SIMPLE_P2P,
+    TRANSITIVE_P2P,
+    ProtocolConfig,
+    build_global_view,
+    make_poller,
+)
 
 
 def rescan_inconsistent(dc):
@@ -24,6 +33,12 @@ def rescan_inconsistent(dc):
                 count += 1
                 break
     return count
+
+
+def rescan_bad_counts(dc):
+    """Brute-force oracle: each node's wrong entries, dead nodes included."""
+    return [sum(b != dc.alive[t] for b, t in zip(dc.believed[i], dc.subs[i]))
+            for i in range(dc.n)]
 
 
 def test_build_forced_mutual_subscription():
@@ -161,6 +176,15 @@ def test_set_liveness_same_value_is_noop():
     assert dc.dead_targets == [[] for _ in range(10)]
 
 
+def test_the_inconsistent_count_is_read_only():
+    # derived from bad_count on every read, so nothing can set it apart
+    dc = DataCenter([[1], [0]])
+    dc.set_liveness(1, False)
+    with pytest.raises(AttributeError):
+        dc.inconsistent = 0
+    assert dc.inconsistent == 1
+
+
 def test_dead_node_stale_cache_counts_only_after_revival():
     # 0 watches 1; 0 dies; 1 then dies too, so 0's frozen "1 is alive" is
     # wrong -- but 0 holds no view while down.  Revival re-admits it.
@@ -225,16 +249,31 @@ def test_observation_timestamps_never_decrease():
         last[observer][slot] = dc.observed[observer][slot]
 
 
+# one poller of each kind; central under a cap of 1 request per second, so
+# that refusals send requesters to the simple-poll fallback
+SCRIPT_KINDS = [
+    ProtocolConfig(kind=SIMPLE_P2P),
+    ProtocolConfig(kind=TRANSITIVE_P2P),
+    ProtocolConfig(kind=CENTRAL, provider_count=1, max_requests_per_s=1),
+    ProtocolConfig(kind=HIERARCHICAL),
+]
+
+
 def run_script_against_rescan(dc, stream, steps=200):
-    """Random liveness flips and observations; after every step the
-    incremental count must equal a full rescan, and each node's dead
-    targets must be exactly its subscriptions that are down."""
+    """Random liveness flips, observations, and polls of random alive nodes
+    through each of the four pollers on a monotone clock.  After every step
+    each node's ``bad_count``, dead nodes included, must equal a rescan of
+    its row, the derived count a full rescan, and each node's dead targets
+    exactly its subscriptions that are down.  dc needs its overlap pairs."""
     n = dc.n
+    pollers = [make_poller(dc, cfg, build_global_view(n, cfg) if cfg.kind in (CENTRAL, HIERARCHICAL)
+                           else None) for cfg in SCRIPT_KINDS]
+    now = 0.0
     for _ in range(steps):
-        op = stream.index(3)
+        op = stream.index(4)
         if op == 0:
             dc.set_liveness(stream.index(n), bool(stream.index(2)))
-        else:
+        elif op == 1:
             observer = stream.index(n)
             row = dc.subs[observer]
             if not row:
@@ -243,6 +282,13 @@ def run_script_against_rescan(dc, stream, steps=200):
             dc.apply_observation(observer, target,
                                  bool(stream.index(2)),
                                  stream.uniform(0.0, 50.0))
+        else:
+            up = [i for i in range(n) if dc.alive[i]]
+            if not up:
+                continue
+            now += stream.uniform(0.0, 1.0)
+            pollers[stream.index(len(pollers))](up[stream.index(len(up))], now)
+        assert dc.bad_count == rescan_bad_counts(dc)
         assert dc.inconsistent == rescan_inconsistent(dc)
         assert [sorted(dead) for dead in dc.dead_targets] == [
             [t for t in row if not dc.alive[t]] for row in dc.subs]
@@ -253,7 +299,7 @@ def test_incremental_count_matches_rescan_on_random_scripts():
         stream = RngStream("script", 1000 + trial)
         n = 5 + stream.index(45)
         k = min(n - 1, 1 + stream.index(7))
-        dc = build_datacenter(n, k, stream)
+        dc = build_datacenter(n, k, stream, overlap_pairs=True)
         run_script_against_rescan(dc, stream)
 
 
@@ -265,7 +311,8 @@ def test_incremental_count_matches_rescan_on_random_scripts():
 ], ids=["unequal_rows", "empty_rows", "single_node", "unsorted_rows"])
 def test_incremental_count_matches_rescan_on_hand_built_centres(rows):
     for trial in range(10):
-        run_script_against_rescan(DataCenter(rows), RngStream("script", 2000 + trial))
+        run_script_against_rescan(DataCenter(rows, overlap_pairs=True),
+                                  RngStream("script", 2000 + trial))
 
 
 # -- load accounting ------------------------------------------------------
@@ -280,8 +327,6 @@ def test_one_message_touches_three_components():
 
 
 def test_alive_poll_costs_two_messages_dead_poll_one():
-    from hbsim.protocols import SIMPLE_P2P, ProtocolConfig, make_poller
-
     dc = DataCenter([[1, 2], [], []], load_window_s=10.0)
     dc.set_liveness(2, False)
     make_poller(dc, ProtocolConfig(kind=SIMPLE_P2P), None)(0, 1.0)

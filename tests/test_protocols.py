@@ -617,6 +617,17 @@ def test_the_benchmarks_trace_level_installs():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_the_benchmarks_output_checks_pass_clean_outputs_and_catch_corrupted_ones():
+    # perfbench/selftest.py runs every protocol small and checks its CSVs,
+    # so a change to the probes or the CSVs that the benchmark's checks
+    # reject fails here first
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.rstrip().endswith("self-test passed")
+
+
 # -- overlap-pair build matches the dict-probe oracle ---------------------------
 
 
