@@ -14,8 +14,12 @@ incrementally, so a poll costs O(k) and a failure event O(subscribers).
 The count itself is derived from the bad counts where it is read
 (:attr:`DataCenter.inconsistent`), by one C-level pass over the n nodes:
 about 10-15 us per 1000 nodes, once per probe and once per failure
-event.  The test suite checks every ``bad_count`` against a full rescan
-after randomized operation scripts that poll through all four pollers.
+event.  The simple poll trusts ``bad_count`` too: it rebuilds a node's
+belief row only when the count is nonzero, since a row with no wrong
+entry already holds every target's truth.  A wrong ``bad_count`` would
+therefore leave a wrong row in place, not just misreport the probe.  The
+test suite checks every ``bad_count`` against a full rescan after
+randomized operation scripts that poll through all four pollers.
 
 Load accounting: every message touches three components once each --
 the sender's link, the receiver's link, and the switch.  Counts are
@@ -94,7 +98,10 @@ class DataCenter:
     may have to rotate the log.  Protocol code in this package mutates the
     believed/observed rows directly; everything else must go through
     :meth:`apply_observation` and :meth:`set_liveness` so every
-    ``bad_count``, from which :attr:`inconsistent` is derived, stays true.
+    ``bad_count`` stays true.  Two readers depend on it: :attr:`inconsistent`
+    is derived from it, and the simple poll (also the served kinds'
+    fallback) rebuilds node i's belief row only while ``bad_count[i]`` is
+    nonzero, so a count that wrongly reads 0 leaves a wrong row in place.
 
     ``subscriptions`` rows may come in any order and are stored sorted.  A
     row with a target outside ``[0, n)``, a duplicate, the node itself, or

@@ -98,6 +98,11 @@ def build_global_view(n: int, cfg: ProtocolConfig) -> GlobalView:
     ids, until one root is left.  An aggregator sends a target outside its
     range to its parent, a target in a child's range to that child, and
     polls the rest of its range, its own leaf group, itself.
+
+    ``hierarchy_levels`` is a ceiling: the tree's depth is the number of
+    f-way groupings that reduce the n ids to one root, which falls below
+    it whenever f**(levels - 1) >= n (n=9 at 3 levels builds 2, n=64 at 5
+    builds 4, n=20 at 10 builds 5).
     """
     if cfg.kind == CENTRAL:
         p = cfg.provider_count
@@ -239,11 +244,15 @@ def _make_simple_poller(dc: DataCenter):
         if now >= _dc.next_boundary:
             _dc.advance_window(now)
         subs_i = _subs[i]
-        nb = [_alive[t] for t in subs_i]
+        if _bad[i]:
+            # a row with no wrong entry already holds every target's truth,
+            # so only a row bad_count marks wrong is rebuilt; the poll trusts
+            # bad_count to be exact (see DataCenter)
+            _believed[i] = [_alive[t] for t in subs_i]
+            _bad[i] = 0
         k = len(subs_i)
         dead = _dead[i]
         resp = k - len(dead)
-        _believed[i] = nb
         _observed[i] = [now] * k
         _full[i] += 1
         if dead:
@@ -252,7 +261,6 @@ def _make_simple_poller(dc: DataCenter):
         traffic = k + resp
         _wl[i] += traffic
         _dc.total_messages += traffic
-        _bad[i] = 0
 
     return poll
 

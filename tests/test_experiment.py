@@ -29,7 +29,15 @@ from hbsim.experiment import (
 )
 from hbsim.failure import FailureConfig, ScriptedFailureStream
 from hbsim.outputs import write_outputs
-from hbsim.protocols import PROTOCOL_KINDS, ProtocolConfig, make_poller
+from hbsim.protocols import (
+    CENTRAL,
+    HIERARCHICAL,
+    PROTOCOL_KINDS,
+    SIMPLE_P2P,
+    ProtocolConfig,
+    build_global_view,
+    make_poller,
+)
 
 from reference_sim import reference_run
 
@@ -279,30 +287,77 @@ def test_probe_cadence_and_zero_failure_run():
     assert all(count == 0 for _, count in out.probes)
 
 
-def test_update_gaps_stay_in_configured_band():
-    cfg = small_cfg()
-    dc, gv, queue, streams = init_run(cfg, 0)
-    times = {i: [] for i in range(cfg.nodes)}
+def test_update_gaps_stay_in_configured_band(monkeypatch):
+    # run_one's own loop, seen through a stand-in poller that records each
+    # update poll and then runs the real one
+    cfg = small_cfg(duration_s=60.0, failure=FailureConfig(rate_pct_per_min=60.0))
+    calls = []
 
-    def dispatch(event):
-        action = event.action
-        if action[0] == "update":
-            times[action[1]].append(event.fire_time)
-            queue.schedule(streams["update"].uniform(cfg.update_min_s, cfg.update_max_s),
-                           action)
-        elif action[0] == "probe":
-            queue.schedule(cfg.probe_interval_s, action)
+    def recording_make_poller(dc, protocol, gv):
+        poll = make_poller(dc, protocol, gv)
 
-    queue.run(30.0, dispatch)
-    for series in times.values():
-        gaps = [b - a for a, b in zip(series, series[1:])]
-        assert all(0.8 <= g < 1.2 for g in gaps)
+        def record(node, now):
+            calls.append((node, now))
+            poll(node, now)
+
+        return record
+
+    monkeypatch.setattr("hbsim.experiment.make_poller", recording_make_poller)
+    out = run_one(cfg, 0)
+    assert len(calls) == out.summary.update_polls
+
+    # each node's dead spans [failed, repaired), from the run's failure log
+    dead_spans = {i: [] for i in range(cfg.nodes)}
+    for t, node, effect, _ in out.failures:
+        if effect == "failed":
+            dead_spans[node].append([t, cfg.duration_s])
+        elif effect == "repaired":
+            dead_spans[node][-1][1] = t
+    # some node stays dead across an update, so the dispatcher has one to skip
+    assert any(b - a > cfg.update_max_s for spans in dead_spans.values() for a, b in spans)
+
+    polled = {i: [] for i in range(cfg.nodes)}
+    for node, now in calls:
+        assert not any(a <= now < b for a, b in dead_spans[node])
+        polled[node].append(now)
+    checked = 0
+    for node, series in polled.items():
+        for a, b in zip(series, series[1:]):
+            # a gap across a failure or repair spans the updates skipped while dead
+            if not any(a <= t <= b for span in dead_spans[node] for t in span):
+                assert cfg.update_min_s <= b - a < cfg.update_max_s
+                checked += 1
+    # each failure or repair excludes at most the one gap around it
+    assert checked >= len(calls) - cfg.nodes - len(out.failures)
 
 
 def test_simple_update_refreshes_whole_cache_row():
-    cfg = small_cfg()
-    out = run_one(cfg, 0)
-    assert out.summary.update_polls > 0
+    # A simple poll, and the fallback poll of a served kind whose server is
+    # dead, leave the requester's whole row true and stamped with now: after
+    # a target fails, after it is repaired (the row is then wrong with no
+    # dead target), and when nothing changed since the last poll.
+    for kind in (SIMPLE_P2P, CENTRAL, HIERARCHICAL):
+        cfg = ProtocolConfig(kind=kind)
+        dc = build_datacenter(20, 4, RngStream("topology", 5))
+        gv = None if kind == SIMPLE_P2P else build_global_view(dc.n, cfg)
+        # a requester that is no server and whose server is none of its targets
+        i = next(i for i in range(dc.n)
+                 if gv is None or gv.home[i] != i and gv.home[i] not in dc.subs[i])
+        poll = make_poller(dc, cfg, gv)
+        if gv is not None:
+            dc.set_liveness(gv.home[i], False)
+        target = dc.subs[i][0]
+        steps = [(False, 1, [target]), (True, 1, []), (True, 0, [])]
+        for now, (alive, bad_before, dead_before) in enumerate(steps, start=1):
+            dc.set_liveness(target, alive)
+            assert dc.bad_count[i] == bad_before
+            assert dc.dead_targets[i] == dead_before
+            full_polls = dc.full_polls[i]
+            poll(i, float(now))
+            assert dc.full_polls[i] == full_polls + 1, kind  # the simple poll ran
+            assert dc.believed[i] == [dc.alive[t] for t in dc.subs[i]], kind
+            assert dc.observed[i] == [float(now)] * len(dc.subs[i]), kind
+            assert dc.bad_count[i] == 0, kind
 
 
 def test_recovery_curve_steps_down_to_zero():
