@@ -101,7 +101,7 @@ class DataCenter:
     ``bad_count`` stays true.  Two readers depend on it: :attr:`inconsistent`
     is derived from it, and the simple poll (also the served kinds'
     fallback) rebuilds node i's belief row only while ``bad_count[i]`` is
-    nonzero, so a count that wrongly reads 0 leaves a wrong row in place.
+    nonzero.
 
     ``subscriptions`` rows may come in any order and are stored sorted.  A
     row with a target outside ``[0, n)``, a duplicate, the node itself, or
