@@ -24,14 +24,13 @@ randomized operation scripts that poll through all four pollers.
 Load accounting: every message touches three components once each --
 the sender's link, the receiver's link, and the switch.  Counts are
 aggregated per component into fixed-width time windows.  Bulk responses
-additionally carry a payload_entries count, tracked separately.  Two
-rules keep the log cheap, and both live here.  A poll of node i's whole
+additionally carry a payload_entries count, tracked separately.  The
+link counts are the only record of traffic.  A poll of node i's whole
 row only adds 1 to ``full_polls[i]``, and the window flush adds the 2
 target-link messages per subscription (request and response) of each such
-poll.  The switch carries every message exactly once, so nothing counts
-it: the flush derives its row from the growth of ``total_messages`` and
-``total_payload`` since the last flush, which is why those totals must
-only ever grow.
+poll.  Every message touches two distinct links, so the flush sets the
+switch row to half the window's link counts, and the run totals are the
+switch rows logged plus half the open window (``DataCenter.total_*``).
 
 Memory is what limits the n a run can reach, so the per-subscription
 state is three parallel list rows per node (target ids, beliefs,
@@ -60,6 +59,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterable
 from itertools import compress
+from operator import mul
 
 from .des import RngStream
 
@@ -89,19 +89,18 @@ class DataCenter:
       currently dead targets for the pollers' response accounting.
 
     The switch is component index ``n`` in the load log; node components
-    are their own indices.  Traffic goes to the window's ``_win_msgs`` and
-    ``_win_pay`` and to ``total_messages`` and ``total_payload``, which
-    only grow, since the switch's row is their growth in the window; a
-    whole-row poll of node i adds 1 to ``full_polls[i]`` instead of its
-    target links.  ``next_boundary`` is the first time of the window after
-    the current one, so a poll divides by the window width only when it
-    may have to rotate the log.  Protocol code in this package mutates the
-    believed/observed rows directly; everything else must go through
-    :meth:`apply_observation` and :meth:`set_liveness` so every
-    ``bad_count`` stays true.  Two readers depend on it: :attr:`inconsistent`
-    is derived from it, and the simple poll (also the served kinds'
-    fallback) rebuilds node i's belief row only while ``bad_count[i]`` is
-    nonzero.
+    are their own indices.  Traffic goes only to the window's link counts,
+    ``_win_msgs`` and ``_win_pay``, and a whole-row poll of node i adds 1
+    to ``full_polls[i]`` instead of its target links; the switch row and
+    the run totals are derived from them.  ``next_boundary`` is the first
+    time of the window after the current one, so a poll divides by the
+    window width only when it may have to rotate the log.  Protocol code
+    in this package mutates the believed/observed rows directly; everything
+    else must go through :meth:`apply_observation` and :meth:`set_liveness`
+    so every ``bad_count`` stays true.  Two readers depend on it:
+    :attr:`inconsistent` is derived from it, and the simple poll (also the
+    served kinds' fallback) rebuilds node i's belief row only while
+    ``bad_count[i]`` is nonzero.
 
     ``subscriptions`` rows may come in any order and are stored sorted.  A
     row with a target outside ``[0, n)``, a duplicate, the node itself, or
@@ -166,10 +165,6 @@ class DataCenter:
         # full_polls[i]: node i's whole-row polls in the window, whose 2
         # messages per target link the flush adds
         self.full_polls = [0] * n
-        self.total_messages = 0
-        self.total_payload = 0
-        self._flushed_messages = 0  # the totals at the last flush
-        self._flushed_payload = 0
 
     # -- ground truth -------------------------------------------------
 
@@ -229,6 +224,22 @@ class DataCenter:
         """
         return sum(compress(self.alive, self.bad_count))
 
+    @property
+    def total_messages(self) -> int:
+        """The run's messages so far: the switch rows logged, half the open
+        window's link counts, and the 2 target-link messages per
+        subscription that its full-row polls still owe.  Read-only."""
+        return (self._switch_logged(2) + sum(self._win_msgs) // 2
+                + sum(map(mul, self.full_polls, map(len, self.subs))))
+
+    @property
+    def total_payload(self) -> int:
+        """The run's payload entries so far, derived alike.  Read-only."""
+        return self._switch_logged(3) + sum(self._win_pay) // 2
+
+    def _switch_logged(self, column: int) -> int:
+        return sum(row[column] for row in self._load_rows if row[1] == self.n)
+
     # -- load log -------------------------------------------------------
 
     def _first_time_in_window(self, win: int) -> float:
@@ -276,10 +287,8 @@ class DataCenter:
             for u in subs[i]:
                 msgs[u] += cc
             full[i] = 0
-        msgs[n] = self.total_messages - self._flushed_messages
-        pay[n] = self.total_payload - self._flushed_payload
-        self._flushed_messages = self.total_messages
-        self._flushed_payload = self.total_payload
+        msgs[n] = sum(msgs) // 2  # two links per message; msgs[n] was 0
+        pay[n] = sum(pay) // 2
         start = self._win * self.load_window_s
         rows = self._load_rows
         # compress() skips the quiet components in C
@@ -293,8 +302,8 @@ class DataCenter:
 
     def message(self, sender: int, receiver: int, t: float,
                 payload_entries: int = 0) -> None:
-        """Count one message: sender link, receiver link, and, through the
-        totals, the switch.
+        """Count one message: sender link, receiver link, and, at the
+        window flush, the switch.
 
         Component-local traffic (sender == receiver) stays off the network
         and is not counted.
@@ -309,8 +318,6 @@ class DataCenter:
             pay = self._win_pay
             pay[sender] += payload_entries
             pay[receiver] += payload_entries
-        self.total_messages += 1
-        self.total_payload += payload_entries
 
     def finish_load(self, end_time: float) -> list[tuple[float, int, int, int]]:
         """Flush any open window and return all (window_start, component,

@@ -12,7 +12,7 @@ on the guarantees made here:
   with the gamma and normal samplers pinned in this file, so draw
   sequences are stable across runs and platforms.  The one draw made
   outside :class:`RngStream` is the per-event update delay: the
-  dispatcher in ``experiment.run_one`` computes it as
+  dispatcher in ``experiment._simulate`` computes it as
   ``lo + (hi - lo) * random()`` on the update stream's generator, which
   is :meth:`RngStream.uniform`'s arithmetic without the method call;
 * per-stream seeds are derived from a root seed by hashing

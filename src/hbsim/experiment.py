@@ -97,6 +97,9 @@ class ExperimentConfig:
             cfg.failure.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if cfg.failure.rate_pct_per_min == 0:
+            # -0.0 would name a cell r-0; replace() shares the caller's failure
+            cfg.failure = replace(cfg.failure, rate_pct_per_min=abs(cfg.failure.rate_pct_per_min))
         if cfg.runs < 1:
             raise ConfigError("runs must be >= 1")
         # chained comparisons against inf also reject nan, which compares false

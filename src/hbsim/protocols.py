@@ -202,8 +202,8 @@ def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
 
     The returned callable poll(node, now) runs one update cycle of ``node``:
     it refreshes the node's cached entries and adds the traffic to the data
-    centre's totals and load log.  It assumes the node is alive (the
-    event dispatcher checks) and that calls arrive in nondecreasing time.
+    centre's link counts.  It assumes the node is alive (the event
+    dispatcher checks) and that calls arrive in nondecreasing time.
 
     For the central and hierarchical kinds ``gv`` is the layout, whose
     ``home`` and ``routes`` go to the served poller as they are; the poller
@@ -260,7 +260,6 @@ def _make_simple_poller(dc: DataCenter):
                 _wl[t] -= 1
         traffic = k + resp
         _wl[i] += traffic
-        _dc.total_messages += traffic
 
     return poll
 
@@ -319,10 +318,7 @@ def _make_transitive_poller(dc: DataCenter, staleness_s: float):
                     _wl[t] += 1
         if traffic:
             _wl[i] += traffic
-            _dc.total_messages += traffic
-            if pay:
-                _wp[i] += pay
-                _dc.total_payload += pay
+            _wp[i] += pay
             _bad[i] = bad
 
     return poll
@@ -430,12 +426,8 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
             x = 2 if a else 1
             m += x
             wl[t] += x
-        if m:
-            wl[s] += m
-            dc.total_messages += m
-            if pay:
-                wp[s] += pay
-                dc.total_payload += pay
+        wl[s] += m
+        wp[s] += pay
 
     def poll(i, now, _dc=dc, _subs=dc.subs, _alive=alive, _believed=dc.believed,
              _observed=dc.observed, _bad=dc.bad_count, _home=home, _wl=wl, _wp=wp,
@@ -453,16 +445,13 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
             k = len(subs_i)
             _wl[i] += 2
             _wl[s] += 2
-            _dc.total_messages += 2
             _wp[i] += k
             _wp[s] += k
-            _dc.total_payload += k
         else:
             # the server is dead or refuses: one unanswered request, then the
             # simple P2P poll leaves every entry true as of now
             _wl[i] += 1
             _wl[s] += 1
-            _dc.total_messages += 1
             _simple(i, now)
             return
         # apply the served batch to the requester's row

@@ -218,16 +218,22 @@ def test_sweep_refuses_an_empty_grid_list(tmp_path, capsys, option, value, what)
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("grid", [
-    ["--nodes", "20", "--rates", "1,1.0000001", "--protocol", "simple_p2p"],
-    ["--nodes", "20", "--rates", "1,1", "--protocol", "simple_p2p"],
-    ["--nodes", "20,20", "--rates", "1", "--protocol", "simple_p2p"],
-], ids=["rates-round-alike", "rate-twice", "size-twice"])
-def test_sweep_refuses_cells_sharing_an_output_directory(cfg_file, tmp_path, capsys, grid):
+R1_CLASH = "n20-r1-simple_p2p: (nodes=20, rate=1.0"
+
+
+@pytest.mark.parametrize("grid, clash", [
+    (["--nodes", "20", "--rates", "1,1.0000001", "--protocol", "simple_p2p"], R1_CLASH),
+    (["--nodes", "20", "--rates", "1,1", "--protocol", "simple_p2p"], R1_CLASH),
+    (["--nodes", "20,20", "--rates", "1", "--protocol", "simple_p2p"], R1_CLASH),
+    # a signed zero is the same rate, not a second cell named r-0
+    (["--nodes", "20", "--rates", "0,-0", "--protocol", "simple_p2p"],
+     "n20-r0-simple_p2p: (nodes=20, rate=0.0"),
+], ids=["rates-round-alike", "rate-twice", "size-twice", "zero-and-minus-zero"])
+def test_sweep_refuses_cells_sharing_an_output_directory(cfg_file, tmp_path, capsys, grid, clash):
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg_file), *grid, "--out", str(out_dir)]) == 2
     captured = capsys.readouterr()
-    assert "n20-r1-simple_p2p: (nodes=20, rate=1.0" in captured.err
+    assert clash in captured.err
     assert captured.out == ""    # refused before any cell ran
     assert not out_dir.exists()
 

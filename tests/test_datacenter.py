@@ -185,6 +185,16 @@ def test_the_inconsistent_count_is_read_only():
     assert dc.inconsistent == 1
 
 
+@pytest.mark.parametrize("total", ["total_messages", "total_payload"])
+def test_the_run_totals_are_read_only(total):
+    # derived from the link counts and the load log, so nothing can set them apart
+    dc = DataCenter([[1], [0]])
+    dc.message(0, 1, t=1.0, payload_entries=3)
+    with pytest.raises(AttributeError):
+        setattr(dc, total, 0)
+    assert (dc.total_messages, dc.total_payload) == (1, 3)
+
+
 def test_dead_node_stale_cache_counts_only_after_revival():
     # 0 watches 1; 0 dies; 1 then dies too, so 0's frozen "1 is alive" is
     # wrong -- but 0 holds no view while down.  Revival re-admits it.
@@ -404,12 +414,11 @@ def window_log(w):
 
 def poll_row(dc, i, t):
     """What a simple poll of node i at time t logs: its request and its
-    target's response on its own link and the totals, while the target's
-    link waits in ``full_polls`` for the flush."""
+    target's response on its own link, while the target's link waits in
+    ``full_polls`` for the flush."""
     if t >= dc.next_boundary:
         dc.advance_window(t)
     dc._win_msgs[i] += 2
-    dc.total_messages += 2
     dc.full_polls[i] += 1
 
 
@@ -423,6 +432,8 @@ def test_guarded_rotation_matches_rotating_every_time(case):
         every.advance_window(t)
         poll_row(every, step % 2, t)
         poll_row(guarded, step % 2, t)
+        # the total counts the polls whose target links are still pending
+        assert guarded.total_messages == 2 * (step + 1)
         # the boundary is the first float of the next window, exactly
         nb = guarded.next_boundary
         assert int(nb / w) > guarded._win
@@ -432,7 +443,15 @@ def test_guarded_rotation_matches_rotating_every_time(case):
         assert guarded._load_rows == every._load_rows
         assert guarded.full_polls == every.full_polls
     end = times[-1] if times else 0.0
-    assert guarded.finish_load(end) == every.finish_load(end)
+    rows = guarded.finish_load(end)
+    assert rows == every.finish_load(end)
+    # every flushed switch row is half its window's link rows
+    windows = {}
+    for start, comp, m, _ in rows:
+        windows.setdefault(start, {})[comp] = m
+    for links in windows.values():
+        assert 2 * links.pop(guarded.n) == sum(links.values())
+    assert guarded.total_messages == 2 * len(times)
 
 
 @pytest.mark.parametrize("w", WINDOWS)

@@ -559,6 +559,14 @@ def test_config_and_summary_share_one_fingerprint():
     assert cfg.fingerprint() == summary.fingerprint() == "n20-r0.5-transitive_p2p"
 
 
+def test_a_minus_zero_rate_normalizes_to_zero_leaving_the_callers_config_alone():
+    failure = FailureConfig(rate_pct_per_min=-0.0)
+    cfg = small_cfg(failure=failure).normalized()
+    assert str(cfg.failure.rate_pct_per_min) == "0.0"
+    assert cfg.fingerprint() == "n20-r0-simple_p2p"
+    assert str(failure.rate_pct_per_min) == "-0.0"
+
+
 # -- sweeps --------------------------------------------------------------------
 
 
