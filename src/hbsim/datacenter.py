@@ -29,8 +29,8 @@ link counts are the only record of traffic.  A poll of node i's whole
 row only adds 1 to ``full_polls[i]``, and the window flush adds the 2
 target-link messages per subscription (request and response) of each such
 poll.  Every message touches two distinct links, so the flush sets the
-switch row to half the window's link counts, and the run totals are the
-switch rows logged plus half the open window (``DataCenter.total_*``).
+switch row to half the window's link counts, and ``total_messages`` and
+``total_payload`` are the switch rows logged plus half the open window.
 
 Memory is what limits the n a run can reach, so the per-subscription
 state is three parallel list rows per node (target ids, beliefs,
