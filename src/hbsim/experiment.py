@@ -1,5 +1,8 @@
 """Experiment harness: configs, run orchestration, sweeps, statistics.
 
+A config is checked once, when it is made, and is frozen, so everything
+downstream takes it as given.
+
 One *run* wires up a data centre, schedules the initial events (the
 monitoring probe first, then one update event per node, then the first
 failure), and lets the event queue drive everything until the configured
@@ -63,10 +66,15 @@ class ConfigError(ValueError):
         self.line = line
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A valid, unchangeable experiment: the constructor, which
+    ``dataclasses.replace`` also calls, raises ``ConfigError`` on any value
+    that would crash or hang a run.  Runs read the subscription count ``k``.
+    """
+
     nodes: int
-    subscriptions: int | None = None     # None -> round(sqrt(nodes))
+    subscriptions: int | None = None     # None -> k = round(sqrt(nodes))
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     failure: FailureConfig = field(default_factory=FailureConfig)
     duration_s: float = 3600.0
@@ -78,62 +86,65 @@ class ExperimentConfig:
     update_max_s: float = 1.2
     load_window_s: float = 10.0
 
-    def normalized(self) -> "ExperimentConfig":
-        """Fill defaults and check every invariant; returns a valid copy."""
-        cfg = replace(self)
-        if cfg.nodes < 1:
-            raise ConfigError(f"nodes must be >= 1, got {cfg.nodes}")
-        if cfg.nodes > sys.float_info.max:
+    def __post_init__(self) -> None:
+        if self.nodes < 1:
+            raise ConfigError(f"nodes must be >= 1, got {self.nodes}")
+        if self.nodes > sys.float_info.max:
             # the sqrt default and the failure gap take nodes as a float
             raise ConfigError(f"nodes must not exceed the largest float, {sys.float_info.max}")
-        if cfg.subscriptions is None:
-            # sqrt default; the clamp only matters for a one-node centre
-            cfg.subscriptions = min(round(math.sqrt(cfg.nodes)), cfg.nodes - 1)
-        if not 0 <= cfg.subscriptions <= cfg.nodes - 1:
+        if not 0 <= self.k <= self.nodes - 1:
             raise ConfigError(
-                f"subscriptions must be in [0, nodes-1], got {cfg.subscriptions} for {cfg.nodes} nodes")
+                f"subscriptions must be in [0, nodes-1], got {self.k} for {self.nodes} nodes")
         try:
-            cfg.protocol.validate(cfg.nodes)
-            cfg.failure.validate()
+            self.protocol.validate(self.nodes)
+            self.failure.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if cfg.failure.rate_pct_per_min == 0:
-            # -0.0 would name a cell r-0; replace() shares the caller's failure
-            cfg.failure = replace(cfg.failure, rate_pct_per_min=abs(cfg.failure.rate_pct_per_min))
-        if cfg.runs < 1:
+        if self.failure.rate_pct_per_min == 0:
+            # -0.0 would name a cell r-0; the caller's FailureConfig is left alone
+            object.__setattr__(self, "failure", replace(
+                self.failure, rate_pct_per_min=abs(self.failure.rate_pct_per_min)))
+        if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         # chained comparisons against inf also reject nan, which compares false
-        if not 0 <= cfg.probe_start_s < math.inf:
-            raise ConfigError(f"probe_start_s must be >= 0 and finite, got {cfg.probe_start_s}")
-        if not 0 < cfg.probe_interval_s < math.inf:
+        if not 0 <= self.probe_start_s < math.inf:
+            raise ConfigError(f"probe_start_s must be >= 0 and finite, got {self.probe_start_s}")
+        if not 0 < self.probe_interval_s < math.inf:
             raise ConfigError(
-                f"probe_interval_s must be positive and finite, got {cfg.probe_interval_s}")
-        if not 0 <= cfg.update_min_s <= cfg.update_max_s < math.inf:
+                f"probe_interval_s must be positive and finite, got {self.probe_interval_s}")
+        if not 0 <= self.update_min_s <= self.update_max_s < math.inf:
             raise ConfigError("need 0 <= update_min_s <= update_max_s, both finite")
-        if cfg.update_max_s == 0:
+        if self.update_max_s == 0:
             # zero-delay updates would repeat at t=0 forever
             raise ConfigError("update_max_s must be positive")
-        if not cfg.probe_start_s < cfg.duration_s < math.inf:
+        if not self.probe_start_s < self.duration_s < math.inf:
             raise ConfigError(
-                f"duration_s must be finite and exceed probe_start_s, got {cfg.duration_s}")
+                f"duration_s must be finite and exceed probe_start_s, got {self.duration_s}")
         # an interval that cannot advance the clock at duration_s cannot
         # advance it at any earlier time either: the run would never end
         for name in ("probe_interval_s", "update_max_s"):
-            if cfg.duration_s + getattr(cfg, name) == cfg.duration_s:
+            if self.duration_s + getattr(self, name) == self.duration_s:
                 raise ConfigError(
-                    f"{name}={getattr(cfg, name)} is too small to advance the clock "
-                    f"at duration_s={cfg.duration_s}")
-        if not 0 < cfg.load_window_s < math.inf:
-            raise ConfigError(f"load_window_s must be positive and finite, got {cfg.load_window_s}")
+                    f"{name}={getattr(self, name)} is too small to advance the clock "
+                    f"at duration_s={self.duration_s}")
+        if not 0 < self.load_window_s < math.inf:
+            raise ConfigError(f"load_window_s must be positive and finite, got {self.load_window_s}")
         # the last flush numbers the window after duration_s; that index
         # must be a finite number
-        if not (cfg.duration_s + cfg.load_window_s) / cfg.load_window_s < math.inf:
+        if not (self.duration_s + self.load_window_s) / self.load_window_s < math.inf:
             raise ConfigError(
-                f"load_window_s={cfg.load_window_s} is too small: the window index "
-                f"at duration_s={cfg.duration_s} is not a finite number")
-        if cfg.failure.rate_pct_per_min > 0:
-            _check_failure_gaps(cfg)
-        return cfg
+                f"load_window_s={self.load_window_s} is too small: the window index "
+                f"at duration_s={self.duration_s} is not a finite number")
+        if self.failure.rate_pct_per_min > 0:
+            _check_failure_gaps(self)
+
+    @property
+    def k(self) -> int:
+        """``subscriptions``, or round(sqrt(nodes)) when that is None; the
+        clamp only matters for a one-node centre."""
+        if self.subscriptions is None:
+            return min(round(math.sqrt(self.nodes)), self.nodes - 1)
+        return self.subscriptions
 
     def fingerprint(self) -> str:
         return fingerprint(self.nodes, self.failure.rate_pct_per_min, self.protocol.kind)
@@ -191,8 +202,9 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the key=value config format (UTF-8, '#' comments).
 
     Unknown and duplicate keys are rejected with their line number, as are
-    values of the wrong type; cross-field invariants are checked after
-    defaulting.  ``nodes`` is the only required key.
+    values of the wrong type; every other invariant is checked by
+    ``ExperimentConfig`` as the config is made.  ``nodes`` is the only
+    required key.
     """
     values: dict[str, object] = {}
     seen_lines: dict[str, int] = {}
@@ -223,20 +235,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown repair_policy {values['repair_policy']!r}",
                           seen_lines["repair_policy"])
 
-    protocol = ProtocolConfig()
-    failure = FailureConfig()
-    root: dict[str, object] = {}
+    sections: dict[str, dict] = {"root": {}, "protocol": {}, "failure": {}}
     for key, value in values.items():
         section, attr, _ = _CONFIG_KEYS[key]
-        if section == "protocol":
-            setattr(protocol, attr, value)
-        elif section == "failure":
-            setattr(failure, attr, value)
-        else:
-            root[attr] = value
-    cfg = ExperimentConfig(protocol=protocol, failure=failure, **root)
-    cfg.normalized()  # validate now; keep unset fields as intent (e.g. for sweeps)
-    return cfg
+        sections[section][attr] = value
+    return ExperimentConfig(protocol=ProtocolConfig(**sections["protocol"]),
+                            failure=FailureConfig(**sections["failure"]), **sections["root"])
 
 
 # -- single run ----------------------------------------------------------
@@ -269,12 +273,11 @@ def init_run(cfg: ExperimentConfig, run_index: int, failure_stream=None):
     ``build_datacenter`` where they cost the least peak memory.
     Returns (datacenter, global_view, queue, streams dict).
     """
-    cfg = cfg.normalized()
     topology = RngStream(TOPOLOGY_STREAM,
                          derive_stream_seed(cfg.seed, run_index, TOPOLOGY_STREAM))
     update = RngStream(UPDATE_STREAM,
                        derive_stream_seed(cfg.seed, run_index, UPDATE_STREAM))
-    dc = build_datacenter(cfg.nodes, cfg.subscriptions, topology, cfg.load_window_s,
+    dc = build_datacenter(cfg.nodes, cfg.k, topology, cfg.load_window_s,
                           overlap_pairs=cfg.protocol.kind == TRANSITIVE_P2P)
     gv = None
     if cfg.protocol.kind in (CENTRAL, HIERARCHICAL):
@@ -322,7 +325,6 @@ def run_one(cfg: ExperimentConfig, run_index: int, failure_stream=None) -> RunOu
 
 def _simulate(cfg: ExperimentConfig, run_index: int, failure_stream) -> RunOutput:
     """The body of ``run_one``, which calls it with the collector paused."""
-    cfg = cfg.normalized()
     dc, gv, queue, streams = init_run(cfg, run_index, failure_stream)
     update_stream = streams[UPDATE_STREAM]
     failure_stream = streams[FAILURE_STREAM]
@@ -343,7 +345,7 @@ def _simulate(cfg: ExperimentConfig, run_index: int, failure_stream) -> RunOutpu
     schedule = queue.schedule
     # the update delay is RngStream.uniform(lo, hi) inlined: the same
     # arithmetic on the same generator, so the draws are unchanged, and
-    # normalized() has already checked lo <= hi
+    # the config checked lo <= hi when it was made
     draw = update_stream._rng.random
 
     def dispatch(event):
@@ -434,7 +436,6 @@ def aggregate(cfg: ExperimentConfig, outputs: list[RunOutput]) -> SweepSummary:
     """Cross-run statistics over the per-run mean inconsistency counts."""
     if not outputs:
         raise ValueError("aggregate needs at least one run")
-    cfg = cfg.normalized()
     means = [out.summary.mean_inconsistent for out in outputs]
     tally = Tally()
     for value in means:
@@ -463,6 +464,9 @@ def _run_task(payload):
 
 
 def default_workers() -> int:
+    """One per CPU this process may run on, where the platform can tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -470,8 +474,7 @@ def run_config(cfg: ExperimentConfig, workers: int | None = None):
     """Execute all runs of one config (in parallel when workers > 1) and
     aggregate them.  Returns (outputs, summary); outputs are ordered by
     run index regardless of scheduling.  ``workers`` below 1 raises
-    ValueError; None means one per CPU."""
-    cfg = cfg.normalized()
+    ValueError; None means one per CPU the process may use."""
     workers = default_workers() if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -514,18 +517,11 @@ def run_sweep(configs, workers: int | None = None):
 
 def grid_configs(base: ExperimentConfig, nodes_list, rates, protocols) -> list[ExperimentConfig]:
     """Expand a sweep grid (sizes x failure rates x protocols) over a base
-    config.  Subscriptions re-default to round(sqrt(n)) per size unless the
-    base pinned them explicitly."""
-    configs = []
-    for n in nodes_list:
-        for rate in rates:
-            for kind in protocols:
-                cfg = replace(
-                    base,
-                    nodes=n,
-                    subscriptions=base.subscriptions,
-                    protocol=replace(base.protocol, kind=kind),
-                    failure=replace(base.failure, rate_pct_per_min=rate),
-                )
-                configs.append(cfg.normalized())
-    return configs
+    config.  Each cell is checked as it is made.  A base that leaves
+    ``subscriptions`` unset gives each size its own ``k``, round(sqrt(n));
+    a base that pins it pins every cell."""
+    return [
+        replace(base, nodes=n, protocol=replace(base.protocol, kind=kind),
+                failure=replace(base.failure, rate_pct_per_min=rate))
+        for n in nodes_list for rate in rates for kind in protocols
+    ]

@@ -30,7 +30,7 @@ EFFECT_REPAIRED = "repaired"
 EFFECT_NO_OP = "no_op"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FailureConfig:
     rate_pct_per_min: float = 0.0
     gamma_shape: float = 2.0

@@ -44,7 +44,7 @@ TRANSITIVE_P2P = "transitive_p2p"
 PROTOCOL_KINDS = (CENTRAL, HIERARCHICAL, SIMPLE_P2P, TRANSITIVE_P2P)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolConfig:
     kind: str = SIMPLE_P2P
     staleness_s: float = 1.0
@@ -328,13 +328,14 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
                         routes: dict[int, list[int]]):
     """The poller shared by the central and hierarchical kinds.
 
-    ``home`` and ``routes`` are a GlobalView's layout.  Staleness is tested as ``now - ob > thr``,
-    never as ``ob < now - thr``, which can round differently; forwarded
-    hops are visited in ascending id order; the cap counts requests per
-    ``int(now)`` second and local serving skips it; an observation applies
-    unless it is older than the cached one; and a requester whose server is
-    dead or refuses sends it one unanswered request, then runs the simple
-    poll, which leaves its target-link counts to the centre's flush.
+    ``home`` and ``routes`` are a GlobalView's layout.  Staleness is
+    tested as ``now - ob > thr``, never as ``ob < now - thr``, which can
+    round differently; forwarded hops are visited in ascending id order;
+    the cap counts requests per ``int(now)`` second and local serving skips
+    it; an observation applies unless it is older than the cached one; and
+    a requester whose server is dead or refuses sends it one unanswered
+    request, then runs the simple poll, which leaves its target-link counts
+    to the centre's flush.
     """
     n = dc.n
     alive = dc.alive

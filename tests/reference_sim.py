@@ -249,7 +249,6 @@ class ReferenceState:
 
 class ReferenceRun(ReferenceState):
     def __init__(self, cfg: ExperimentConfig, run_index: int):
-        cfg = cfg.normalized()
         self.cfg = cfg
         n = cfg.nodes
         topology = RngStream("topology", derive_stream_seed(cfg.seed, run_index, "topology"))
@@ -259,7 +258,7 @@ class ReferenceRun(ReferenceState):
         subs = []
         for i in range(n):
             chosen: set[int] = set()
-            while len(chosen) < cfg.subscriptions:
+            while len(chosen) < cfg.k:
                 c = topology.index(n)
                 if c != i and c not in chosen:
                     chosen.add(c)

@@ -138,6 +138,14 @@ def test_replay_reproduces_single_run(cfg_file, tmp_path):
     assert read_probe_rows(replayed / "probes.csv") == run1
 
 
+def test_replay_of_a_minus_zero_rate_prints_a_zero_rate(tmp_path, capsys):
+    path = tmp_path / "zero.cfg"
+    path.write_text("nodes=30\nruns=1\nduration_s=5\nfailure_rate_pct_per_min=-0\n",
+                    encoding="utf-8")
+    assert main(["replay", "--config", str(path), "--run", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("30,0.0,simple_p2p,1,")
+
+
 def test_replay_rejects_out_of_range_run(cfg_file, capsys):
     assert main(["replay", "--config", str(cfg_file), "--run", "7"]) == 1
     assert "outside" in capsys.readouterr().err

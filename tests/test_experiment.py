@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import os
@@ -20,6 +21,7 @@ from hbsim.experiment import (
     ExperimentConfig,
     aggregate,
     ci95_halfwidth,
+    default_workers,
     grid_configs,
     init_run,
     parse_config,
@@ -47,18 +49,17 @@ from reference_sim import reference_run
 
 def test_parse_minimal_config_defaults():
     cfg = parse_config("nodes=1000\nprotocol=simple_p2p\nfailure_rate_pct_per_min=1\n")
-    full = cfg.normalized()
-    assert full.subscriptions == 32          # round(sqrt(1000))
-    assert full.duration_s == 3600.0
-    assert full.runs == 10
-    assert full.protocol.kind == "simple_p2p"
-    assert full.failure.rate_pct_per_min == 1.0
+    assert cfg.k == 32                       # round(sqrt(1000))
+    assert cfg.duration_s == 3600.0
+    assert cfg.runs == 10
+    assert cfg.protocol.kind == "simple_p2p"
+    assert cfg.failure.rate_pct_per_min == 1.0
 
 
 def test_parse_default_subscriptions_sqrt():
-    assert parse_config("nodes=100").normalized().subscriptions == 10
-    assert parse_config("nodes=10000").normalized().subscriptions == 100
-    assert parse_config("nodes=1").normalized().subscriptions == 0  # clamped
+    assert parse_config("nodes=100").k == 10
+    assert parse_config("nodes=10000").k == 100
+    assert parse_config("nodes=1").k == 0  # clamped
 
 
 def test_parse_rejects_subscription_overflow():
@@ -104,9 +105,9 @@ def test_parse_comments_and_blanks_ignored():
 
 def test_invalid_cross_field_invariants():
     with pytest.raises(ConfigError):
-        ExperimentConfig(nodes=100, duration_s=1.0).normalized()   # <= probe start
+        ExperimentConfig(nodes=100, duration_s=1.0)   # <= probe start
     with pytest.raises(ConfigError):
-        ExperimentConfig(nodes=100, update_min_s=2.0, update_max_s=1.0).normalized()
+        ExperimentConfig(nodes=100, update_min_s=2.0, update_max_s=1.0)
 
 
 @pytest.mark.parametrize("line", [
@@ -561,10 +562,23 @@ def test_config_and_summary_share_one_fingerprint():
 
 def test_a_minus_zero_rate_normalizes_to_zero_leaving_the_callers_config_alone():
     failure = FailureConfig(rate_pct_per_min=-0.0)
-    cfg = small_cfg(failure=failure).normalized()
+    cfg = small_cfg(failure=failure)
     assert str(cfg.failure.rate_pct_per_min) == "0.0"
     assert cfg.fingerprint() == "n20-r0-simple_p2p"
     assert str(failure.rate_pct_per_min) == "-0.0"
+
+
+def test_a_config_is_checked_whenever_it_is_made_and_cannot_change():
+    cfg = ExperimentConfig(nodes=100, duration_s=30.0, runs=1)
+    with pytest.raises(ConfigError, match="nodes"):
+        dataclasses.replace(cfg, nodes=0)
+    for obj, name in ((cfg, "nodes"), (cfg.protocol, "kind"), (cfg.failure, "gamma_shape")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+    assert cfg.subscriptions is None and cfg.k == 10
+    assert dataclasses.replace(cfg, nodes=1000).k == 32     # re-defaulted per size
+    pinned = dataclasses.replace(cfg, subscriptions=7)
+    assert pinned.k == 7 and dataclasses.replace(pinned, nodes=1000).k == 7
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -574,7 +588,7 @@ def test_grid_configs_cardinality_and_defaults():
     base = ExperimentConfig(nodes=100, duration_s=30.0, runs=1)
     grid = grid_configs(base, [100, 1000], [0.1, 1.0, 10.0], ["simple_p2p"])
     assert len(grid) == 6
-    by_n = {cfg.nodes: cfg.subscriptions for cfg in grid}
+    by_n = {cfg.nodes: cfg.k for cfg in grid}
     assert by_n == {100: 10, 1000: 32}   # sqrt default re-derived per size
 
 
@@ -584,6 +598,17 @@ def test_run_sweep_order_independent():
     forward = [summary for _, _, summary in run_sweep(grid, workers=1)]
     backward = [summary for _, _, summary in run_sweep(list(reversed(grid)), workers=1)]
     assert sorted(map(str, forward)) == sorted(map(str, backward))
+
+
+def test_default_workers_counts_the_cpus_the_process_may_use(monkeypatch):
+    # faked, so the test neither depends on nor changes the real mask
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert default_workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert default_workers() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_workers() == 1
 
 
 @pytest.mark.parametrize("workers", [0, -1])

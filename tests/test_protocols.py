@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -615,6 +616,21 @@ def test_the_benchmarks_trace_level_installs():
     proc = subprocess.run([sys.executable, "-c", "import probe; probe.install('trace')"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_one_light_benchmark_round_of_the_desk_sweep_passes(tmp_path):
+    # the pool path under the benchmark's probe: configs pickled to the
+    # workers, the run_config record hook and the sweep's CSV checks
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "round.py"), "--workload", "desk_sweep",
+         "--seed", "42", "--level", "light", "--workdir", str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    assert report["failed"] == {}
+    counts = report["counts"]
+    assert counts["des.events"] >= counts["experiment.update_polls"] > 0
 
 
 def test_the_benchmarks_output_checks_pass_clean_outputs_and_catch_corrupted_ones():
