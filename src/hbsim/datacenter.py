@@ -14,9 +14,11 @@ incrementally, so a poll costs O(k) and a failure event O(subscribers).
 The count itself is derived from the bad counts where it is read
 (:attr:`DataCenter.inconsistent`), by one C-level pass over the n nodes:
 about 10-15 us per 1000 nodes, once per probe and once per failure
-event.  The simple poll trusts ``bad_count`` too: it rebuilds a node's
-belief row only when the count is nonzero, since a row with no wrong
-entry already holds every target's truth.  A wrong ``bad_count`` would
+event.  The pollers trust ``bad_count`` too, since a row with no wrong
+entry already holds every target's truth.  The simple poll rebuilds a
+node's belief row only when the count is nonzero, and the transitive poll
+reads a responder's belief for a relayed entry only when the requester's
+or the responder's count is nonzero.  A wrong ``bad_count`` would
 therefore leave a wrong row in place, not just misreport the probe.  The
 test suite checks every ``bad_count`` against a full rescan after
 randomized operation scripts that poll through all four pollers.
@@ -97,10 +99,12 @@ class DataCenter:
     window width only when it may have to rotate the log.  Protocol code
     in this package mutates the believed/observed rows directly; everything
     else must go through :meth:`apply_observation` and :meth:`set_liveness`
-    so every ``bad_count`` stays true.  Two readers depend on it:
-    :attr:`inconsistent` is derived from it, and the simple poll (also the
+    so every ``bad_count`` stays true.  Three readers depend on it:
+    :attr:`inconsistent` is derived from it; the simple poll (also the
     served kinds' fallback) rebuilds node i's belief row only while
-    ``bad_count[i]`` is nonzero.
+    ``bad_count[i]`` is nonzero; and the transitive poll of node i reads
+    responder t's belief for a relayed entry only while ``bad_count[i]``
+    or ``bad_count[t]`` is nonzero.
 
     ``subscriptions`` rows may come in any order and are stored sorted.  A
     row with a target outside ``[0, n)``, a duplicate, the node itself, or

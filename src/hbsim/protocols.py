@@ -281,13 +281,15 @@ def _make_transitive_poller(dc: DataCenter, staleness_s: float):
         prs = _pairs[i]
         traffic = 0  # the requester's messages: 2 per alive target, 1 per dead
         pay = 0
+        # row i's exact running count of wrong entries: while it is 0 every
+        # entry holds its target's truth and no first-hand belief is written
         bad = _bad[i]
         for s, o in enumerate(obs_i):
             if o < cut:
                 t = subs_i[s]
                 obs_i[s] = now
                 if _alive[t]:
-                    if not bel_i[s]:
+                    if bad and not bel_i[s]:
                         bad -= 1
                         bel_i[s] = True
                     traffic += 2
@@ -295,23 +297,29 @@ def _make_transitive_poller(dc: DataCenter, staleness_s: float):
                     p = prs[s]
                     if p is not None:
                         obs_t = _observed[t]
+                        bad_t = _bad[t]
                         carried = 0
                         for j, m in p:
                             ob = obs_t[j]
                             if ob >= cut:
                                 carried += 1
                                 if ob > obs_i[m]:
-                                    v = _believed[t][j]
-                                    if bel_i[m] != v:
-                                        truth = _alive[subs_i[m]]
-                                        bad += (v != truth) - (bel_i[m] != truth)
-                                        bel_i[m] = v
+                                    # rows with no wrong entry both hold the
+                                    # shared target's truth, so t's belief is
+                                    # read only when a count says they can
+                                    # differ (t != i: this poll leaves bad_t)
+                                    if bad or bad_t:
+                                        v = _believed[t][j]
+                                        if bel_i[m] != v:
+                                            truth = _alive[subs_i[m]]
+                                            bad += (v != truth) - (bel_i[m] != truth)
+                                            bel_i[m] = v
                                     obs_i[m] = ob
                         if carried:
                             _wp[t] += carried
                             pay += carried
                 else:
-                    if bel_i[s]:
+                    if bad and bel_i[s]:
                         bad -= 1
                         bel_i[s] = False
                     traffic += 1

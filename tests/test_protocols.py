@@ -222,6 +222,32 @@ def test_transitive_first_hand_wins_a_tie():
     assert oracle.scan_inconsistent() == 1
 
 
+def test_transitive_consistent_requester_takes_a_fresh_wrong_entry():
+    # 1 sees 2 dead at 5.1, then 2 comes back, so 1's row is wrong while
+    # 0's row is right; 0's relay from 1 must still take "2 is dead", the
+    # fresher observation, though 0's own count of wrong entries is 0
+    subs = [[1, 2], [2], [0]]
+    dc = fresh_dc(subs)
+    poll = poller_for(dc, TRANSITIVE)
+    dc.set_liveness(2, False)
+    poll(1, 5.1)
+    dc.set_liveness(2, True)
+    poll(0, 5.3)
+    assert dc.believed[0] == [True, False]
+    assert dc.observed[0] == [5.3, 5.1]
+    assert dc.bad_count == [1, 1, 0]
+    assert dc.inconsistent == 2
+    # the oracle keeps the same rule
+    oracle = ReferenceState(subs, TRANSITIVE)
+    oracle.alive[2] = False
+    oracle.poll(1, 5.1)
+    oracle.alive[2] = True
+    oracle.poll(0, 5.3)
+    assert oracle.cache[0] == {1: [True, 5.3], 2: [False, 5.1]}
+    assert [oracle.wrong_entries(i) for i in range(3)] == [1, 1, 0]
+    assert oracle.scan_inconsistent() == 2
+
+
 # -- central ----------------------------------------------------------------
 
 
@@ -482,12 +508,16 @@ def assert_poller_matches_oracle(subs, cfg, steps, seed):
 
     drive = RngStream("drive", seed)
     now = 0.0
+    victim = None
     for _ in range(steps):
         now += drive.uniform(0.0, 0.2)
         if drive.index(10) == 0:
-            # half the flips hit a provider or aggregator
-            pool = servers if servers and drive.index(2) == 0 else range(n)
-            victim = pool[drive.index(len(pool))]
+            # half the flips undo the last one, so a node often flips twice
+            # within the staleness window and leaves fresh wrong entries;
+            # half the others hit a provider or aggregator
+            if victim is None or drive.index(2) == 0:
+                pool = servers if servers and drive.index(2) == 0 else range(n)
+                victim = pool[drive.index(len(pool))]
             dc.set_liveness(victim, not dc.alive[victim])
             oracle.alive[victim] = not oracle.alive[victim]
         node = drive.index(n)
