@@ -39,7 +39,6 @@ from .failure import (
     ScriptedFailureStream,
     TOGGLE_REPAIR,
     fire_failure,
-    gamma_params_for_rate,
     schedule_next_failure,
 )
 from .outputs import emit_plot_data, write_outputs, write_summary_csv, write_sweep_outputs

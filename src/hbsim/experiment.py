@@ -1,7 +1,9 @@
 """Experiment harness: configs, run orchestration, sweeps, statistics.
 
 A config is checked once, when it is made, and is frozen, so everything
-downstream takes it as given.
+downstream takes it as given.  ``ExperimentConfig``'s constructor checks
+every value, its protocol and failure records' too; ``parse_config`` adds
+only the checks that point at a line of the file.
 
 One *run* wires up a data centre, schedules the initial events (the
 monitoring probe first, then one update event per node, then the first
@@ -29,7 +31,6 @@ from .failure import (
     FailureConfig,
     REPAIR_POLICIES,
     fire_failure,
-    gamma_params_for_rate,
     mean_failure_gap,
     schedule_next_failure,
 )
@@ -69,8 +70,9 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A valid, unchangeable experiment: the constructor, which
-    ``dataclasses.replace`` also calls, raises ``ConfigError`` on any value
-    that would crash or hang a run.  Runs read the subscription count ``k``.
+    ``dataclasses.replace`` also calls, raises ``ConfigError`` naming the
+    key of any value, its own or its protocol's or failure's, that would
+    crash a run or stop its clock.  Runs read the subscription count ``k``.
     """
 
     nodes: int
@@ -95,15 +97,34 @@ class ExperimentConfig:
         if not 0 <= self.k <= self.nodes - 1:
             raise ConfigError(
                 f"subscriptions must be in [0, nodes-1], got {self.k} for {self.nodes} nodes")
-        try:
-            self.protocol.validate(self.nodes)
-            self.failure.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.failure.rate_pct_per_min == 0:
+        protocol = self.protocol
+        if protocol.kind not in PROTOCOL_KINDS:
+            raise ConfigError(f"unknown protocol kind {protocol.kind!r}")
+        if not 0 < protocol.staleness_s < math.inf:
+            raise ConfigError(
+                f"staleness_s must be positive and finite, got {protocol.staleness_s}")
+        if protocol.kind == CENTRAL and not 1 <= protocol.provider_count <= self.nodes:
+            raise ConfigError(f"provider_count must be in [1, {self.nodes}]")
+        if protocol.kind == HIERARCHICAL and protocol.hierarchy_levels < 2:
+            raise ConfigError("hierarchy_levels must be >= 2")
+        if protocol.kind == HIERARCHICAL and protocol.hierarchy_levels > sys.float_info.max:
+            # build_global_view takes 1 / hierarchy_levels as a float
+            raise ConfigError(
+                f"hierarchy_levels must not exceed the largest float, {sys.float_info.max}")
+        if protocol.max_requests_per_s is not None and protocol.max_requests_per_s < 1:
+            raise ConfigError("max_requests_per_s must be >= 1 when set")
+        failure = self.failure
+        rate = failure.rate_pct_per_min
+        if not 0 <= rate < math.inf:
+            raise ConfigError(f"failure_rate_pct_per_min must be >= 0 and finite, got {rate}")
+        shape = failure.gamma_shape
+        if not 0 < shape < math.inf:
+            raise ConfigError(f"gamma_shape must be positive and finite, got {shape}")
+        if failure.repair_policy not in REPAIR_POLICIES:
+            raise ConfigError(f"unknown repair_policy {failure.repair_policy!r}")
+        if rate == 0:
             # -0.0 would name a cell r-0; the caller's FailureConfig is left alone
-            object.__setattr__(self, "failure", replace(
-                self.failure, rate_pct_per_min=abs(self.failure.rate_pct_per_min)))
+            object.__setattr__(self, "failure", replace(failure, rate_pct_per_min=abs(rate)))
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         # chained comparisons against inf also reject nan, which compares false
@@ -135,8 +156,28 @@ class ExperimentConfig:
             raise ConfigError(
                 f"load_window_s={self.load_window_s} is too small: the window index "
                 f"at duration_s={self.duration_s} is not a finite number")
-        if self.failure.rate_pct_per_min > 0:
-            _check_failure_gaps(self)
+        if rate > 0:
+            # like the probe and update intervals, the mean failure gap must
+            # advance the clock at duration_s, and the gamma sampler must not
+            # draw only zeros
+            gap = mean_failure_gap(self.nodes, failure)
+            if not gap < math.inf:
+                raise ConfigError(
+                    f"failure_rate_pct_per_min={rate} is too small: the mean failure gap "
+                    f"at nodes={self.nodes} is not a finite number of seconds")
+            if self.duration_s + gap == self.duration_s:
+                raise ConfigError(
+                    f"failure_rate_pct_per_min={rate} is too large: the mean failure gap "
+                    f"{gap} s at nodes={self.nodes} cannot advance the clock at "
+                    f"duration_s={self.duration_s}")
+            if not gap / shape < math.inf:
+                raise ConfigError(
+                    f"gamma_shape={shape} is too small: the gamma scale, mean gap {gap} s "
+                    f"/ gamma_shape, is not finite")
+            if gamma_draws_vanish(shape):
+                raise ConfigError(
+                    f"gamma_shape={shape} is too small: the gamma sampler draws every "
+                    f"failure gap as 0 s, so the clock never advances")
 
     @property
     def k(self) -> int:
@@ -148,31 +189,6 @@ class ExperimentConfig:
 
     def fingerprint(self) -> str:
         return fingerprint(self.nodes, self.failure.rate_pct_per_min, self.protocol.kind)
-
-
-def _check_failure_gaps(cfg: ExperimentConfig) -> None:
-    """Reject failure settings whose gaps cannot move the clock: like the
-    probe and update intervals, the mean gap must advance it at
-    duration_s, and the gamma sampler must not draw only zeros."""
-    rate = cfg.failure.rate_pct_per_min
-    gap = mean_failure_gap(cfg.nodes, cfg.failure)
-    if not gap < math.inf:
-        raise ConfigError(
-            f"failure_rate_pct_per_min={rate} is too small: the mean failure gap "
-            f"at nodes={cfg.nodes} is not a finite number of seconds")
-    if cfg.duration_s + gap == cfg.duration_s:
-        raise ConfigError(
-            f"failure_rate_pct_per_min={rate} is too large: the mean failure gap {gap} s "
-            f"at nodes={cfg.nodes} cannot advance the clock at duration_s={cfg.duration_s}")
-    shape, scale = gamma_params_for_rate(cfg.nodes, cfg.failure)
-    if not scale < math.inf:
-        raise ConfigError(
-            f"gamma_shape={shape} is too small: the gamma scale, mean gap {gap} s "
-            f"/ gamma_shape, is not finite")
-    if gamma_draws_vanish(shape):
-        raise ConfigError(
-            f"gamma_shape={shape} is too small: the gamma sampler draws every "
-            f"failure gap as 0 s, so the clock never advances")
 
 
 # config file keys -> (section, attribute, parser)
@@ -248,7 +264,6 @@ def parse_config(text: str) -> ExperimentConfig:
 @dataclass
 class RunSummary:
     mean_inconsistent: float
-    max_inconsistent: int
     total_messages: int
     total_payload_entries: int
     failure_events: int
@@ -286,13 +301,12 @@ def init_run(cfg: ExperimentConfig, run_index: int, failure_stream=None):
     queue.schedule(cfg.probe_start_s, PROBE_ACTION)
     for i in range(cfg.nodes):
         queue.schedule(update.uniform(cfg.update_min_s, cfg.update_max_s), ("update", i))
-    rate = cfg.failure.rate_pct_per_min
-    if failure_stream is None and rate > 0:
+    if failure_stream is None and cfg.failure.rate_pct_per_min > 0:
         failure_stream = RngStream(FAILURE_STREAM,
                                    derive_stream_seed(cfg.seed, run_index, FAILURE_STREAM))
-    shape = scale = 1.0
-    if rate > 0:
-        shape, scale = gamma_params_for_rate(cfg.nodes, cfg.failure)
+    # inf at rate 0, which only a scripted stream sees, and ignores
+    shape = cfg.failure.gamma_shape
+    scale = mean_failure_gap(cfg.nodes, cfg.failure) / shape
     if failure_stream is not None:
         schedule_next_failure(queue, shape, scale, failure_stream)
     streams = {UPDATE_STREAM: update, FAILURE_STREAM: failure_stream,
@@ -372,13 +386,8 @@ def _simulate(cfg: ExperimentConfig, run_index: int, failure_stream) -> RunOutpu
     queue.run(duration, dispatch)
     load = dc.finish_load(duration)
 
-    probe_tally = Tally()
-    for _, count in probes:
-        probe_tally.add(count)
-    stats = probe_tally.summary()
     summary = RunSummary(
-        mean_inconsistent=stats.mean,
-        max_inconsistent=int(stats.max),
+        mean_inconsistent=sum(count for _, count in probes) / len(probes),
         total_messages=dc.total_messages,
         total_payload_entries=dc.total_payload,
         failure_events=len(failures),

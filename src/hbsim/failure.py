@@ -36,31 +36,15 @@ class FailureConfig:
     gamma_shape: float = 2.0
     repair_policy: str = TOGGLE_REPAIR
 
-    def validate(self) -> None:
-        if not 0 <= self.rate_pct_per_min < math.inf:
-            raise ValueError(f"failure rate must be >= 0 and finite, got {self.rate_pct_per_min}")
-        if not 0 < self.gamma_shape < math.inf:
-            raise ValueError(f"gamma_shape must be positive and finite, got {self.gamma_shape}")
-        if self.repair_policy not in REPAIR_POLICIES:
-            raise ValueError(f"unknown repair policy {self.repair_policy!r}")
-
-
-def gamma_params_for_rate(n: int, cfg: FailureConfig) -> tuple[float, float]:
-    """Shape and scale of the inter-failure gamma for a data centre of n nodes.
-
-    rate% of n nodes per minute means n * rate/100 events per 60 seconds,
-    so the mean gap is 60 / (n * rate/100) seconds; scale = mean / shape
-    makes the gamma mean hit that exactly.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if cfg.rate_pct_per_min <= 0:
-        raise ValueError("no gamma parameters for a zero failure rate")
-    return cfg.gamma_shape, mean_failure_gap(n, cfg) / cfg.gamma_shape
-
 
 def mean_failure_gap(n: int, cfg: FailureConfig) -> float:
-    """60 / (n * rate/100) seconds; inf when ``n * rate/100`` underflows to 0."""
+    """The mean gap between failure events for a data centre of n nodes.
+
+    rate% of n nodes per minute means n * rate/100 events per 60 seconds,
+    so the mean gap is 60 / (n * rate/100) seconds, and a gamma of scale
+    gap / shape hits that mean exactly.  inf at rate 0, and when
+    ``n * rate/100`` underflows to 0.
+    """
     per_min = n * cfg.rate_pct_per_min / 100.0
     return 60.0 / per_min if per_min > 0 else math.inf
 

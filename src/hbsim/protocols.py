@@ -32,7 +32,6 @@ a tie.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .datacenter import DataCenter
@@ -51,22 +50,6 @@ class ProtocolConfig:
     provider_count: int = 1          # central only
     hierarchy_levels: int = 2        # hierarchical only
     max_requests_per_s: int | None = None
-
-    def validate(self, n: int) -> None:
-        if self.kind not in PROTOCOL_KINDS:
-            raise ValueError(f"unknown protocol kind {self.kind!r}")
-        if not 0 < self.staleness_s < math.inf:
-            raise ValueError(f"staleness_s must be positive and finite, got {self.staleness_s}")
-        if self.kind == CENTRAL and not 1 <= self.provider_count <= n:
-            raise ValueError(f"provider_count must be in [1, {n}]")
-        if self.kind == HIERARCHICAL and self.hierarchy_levels < 2:
-            raise ValueError("hierarchy_levels must be >= 2")
-        if self.kind == HIERARCHICAL and self.hierarchy_levels > sys.float_info.max:
-            # build_global_view takes 1 / hierarchy_levels as a float
-            raise ValueError(
-                f"hierarchy_levels must not exceed the largest float, {sys.float_info.max}")
-        if self.max_requests_per_s is not None and self.max_requests_per_s < 1:
-            raise ValueError("max_requests_per_s must be >= 1 when set")
 
 
 _DIRECT = -1  # next-hop marker: the server polls the target itself

@@ -5,13 +5,13 @@ structures available: a linear-scan event list, dict caches per node and
 per provider or aggregator, a recursive serve, one record per counted
 message, and a full rescan of every subscription entry at each probe and
 failure.  It shares only the seeded random streams (the draw sequences are
-part of the package contract) and ``gamma_params_for_rate`` with the
-engine.  The provider and aggregator-tree layout is its own, restated by
-``tree_layout`` from the rules in ``build_global_view``'s docstring, and all
-state handling is independent, so an exact match of probe series, failure
-logs, traffic totals and load rows across many seeds is strong evidence
-that the layout, the pollers, the incremental bookkeeping and the batched
-load accounting are faithful.
+part of the package contract) with the engine, and restates the failure
+calibration itself.  The provider and aggregator-tree layout is its own,
+restated by ``tree_layout`` from the rules in ``build_global_view``'s
+docstring, and all state handling is independent, so an exact match of
+probe series, failure logs, traffic totals and load rows across many
+seeds is strong evidence that the layout, the pollers, the incremental
+bookkeeping and the batched load accounting are faithful.
 
 ``ReferenceState`` is one data centre under one protocol, built from a
 given subscription list and driven one poll or liveness flip at a time;
@@ -24,7 +24,6 @@ import math
 
 from hbsim.des import RngStream, derive_stream_seed
 from hbsim.experiment import ExperimentConfig
-from hbsim.failure import gamma_params_for_rate
 from hbsim.protocols import CENTRAL, HIERARCHICAL, ProtocolConfig
 
 
@@ -289,9 +288,11 @@ class ReferenceRun(ReferenceState):
     def run(self) -> None:
         cfg = self.cfg
         rate = cfg.failure.rate_pct_per_min
-        shape = scale = 1.0
+        shape = cfg.failure.gamma_shape
         if rate > 0:
-            shape, scale = gamma_params_for_rate(self.n, cfg.failure)
+            # rate% of n nodes per minute: a mean gap of 60 / (n * rate/100)
+            # seconds, which a gamma of scale mean / shape hits exactly
+            scale = 60 / (self.n * rate / 100) / shape
 
         self.schedule(cfg.probe_start_s, ("probe",))
         for i in range(self.n):

@@ -3,10 +3,14 @@ import gc
 import hashlib
 import itertools
 import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import hbsim
 import hbsim.experiment as experiment
 from hbsim.cli import main
 from hbsim.outputs import read_probe_rows, read_summaries
@@ -325,3 +329,26 @@ def test_a_dead_worker_fails_only_its_own_cell(monkeypatch, tmp_path, capsys):
     combined = (out_dir / "summary.csv").read_text(encoding="utf-8").splitlines()
     assert combined == [rows[0][0]] + [row[1] for row in rows]
     assert captured.out.splitlines() == combined
+
+
+def test_python_m_hbsim_runs_the_command_line(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(hbsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def hbsim_module(*args):
+        return subprocess.run([sys.executable, "-m", "hbsim", *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = hbsim_module("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "run" in proc.stdout and "sweep" in proc.stdout
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("nodes=20\nduration_s=10\nruns=1\nfailure_rate_pct_per_min=5\n",
+                        encoding="utf-8")
+    proc = hbsim_module("run", "--config", str(cfg_path), "--out", "results", "--workers", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("nodes,rate_pct_per_min,protocol")
+    for name in ("probes.csv", "failures.csv", "load.csv", "summary.csv"):
+        assert (tmp_path / "results" / name).is_file()

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -200,17 +201,45 @@ _VALUE_STRINGS = st.one_of(
 )
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.fixed_dictionaries(
+# config texts that always set nodes, mostly to a valid count
+_CONFIG_VALUES = st.fixed_dictionaries(
     {"nodes": st.one_of(st.integers(min_value=1, max_value=10 ** 6).map(str), _VALUE_STRINGS)},
-    optional={key: _VALUE_STRINGS for key in _CONFIG_KEYS if key != "nodes"}))
+    optional={key: _VALUE_STRINGS for key in _CONFIG_KEYS if key != "nodes"})
+
+
+def _config_text(values):
+    return "".join(f"{key}={value}\n" for key, value in values.items())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_CONFIG_VALUES)
 def test_parse_config_returns_a_config_or_raises_config_error(values):
-    text = "".join(f"{key}={value}\n" for key, value in values.items())
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(_config_text(values))
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_CONFIG_VALUES)
+def test_every_config_error_has_a_line_or_names_a_key_the_text_sets(values):
+    try:
+        parse_config(_config_text(values))
+    except ConfigError as err:
+        message = str(err)
+        assert err.line is not None or any(
+            re.search(rf"\b{key}\b", message) for key in values), message
+
+
+@pytest.mark.parametrize("failure, key", [
+    (FailureConfig(rate_pct_per_min=-1.0), "failure_rate_pct_per_min"),
+    (FailureConfig(rate_pct_per_min=float("nan")), "failure_rate_pct_per_min"),
+    (FailureConfig(repair_policy="x"), "repair_policy"),
+])
+def test_the_constructor_names_the_config_key_it_rejects(failure, key):
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        ExperimentConfig(nodes=10, failure=failure)
 
 
 # -- run initialisation -------------------------------------------------------

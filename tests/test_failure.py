@@ -13,30 +13,28 @@ from hbsim.failure import (
     NO_REPAIR,
     ScriptedFailureStream,
     fire_failure,
-    gamma_params_for_rate,
+    mean_failure_gap,
     schedule_next_failure,
 )
 
 
 def test_gamma_params_standard_case():
-    shape, scale = gamma_params_for_rate(1000, FailureConfig(rate_pct_per_min=1.0))
-    assert shape == 2.0
-    assert scale == 3.0          # mean gap 6.0 s
+    cfg = FailureConfig(rate_pct_per_min=1.0)
+    assert mean_failure_gap(1000, cfg) == 6.0
+    assert mean_failure_gap(1000, cfg) / cfg.gamma_shape == 3.0    # the gamma scale
 
 
 def test_gamma_params_low_rate():
-    shape, scale = gamma_params_for_rate(100, FailureConfig(rate_pct_per_min=0.01))
-    assert shape * scale == pytest.approx(6000.0)
+    assert mean_failure_gap(100, FailureConfig(rate_pct_per_min=0.01)) == pytest.approx(6000.0)
 
 
 def test_gamma_params_high_rate():
-    shape, scale = gamma_params_for_rate(100, FailureConfig(rate_pct_per_min=10.0))
-    assert shape * scale == pytest.approx(6.0)
+    assert mean_failure_gap(100, FailureConfig(rate_pct_per_min=10.0)) == pytest.approx(6.0)
 
 
-def test_gamma_params_zero_rate_rejected():
-    with pytest.raises(ValueError):
-        gamma_params_for_rate(100, FailureConfig(rate_pct_per_min=0.0))
+def test_mean_failure_gap_is_infinite_at_zero_rate():
+    # a run draws no gap at rate 0; a scripted stream ignores the inf scale
+    assert mean_failure_gap(100, FailureConfig(rate_pct_per_min=0.0)) == math.inf
 
 
 def test_first_failure_scheduled_from_time_zero():
@@ -122,7 +120,9 @@ def test_no_repair_dead_set_grows_monotonically():
 def test_event_rate_calibration_renewal_count():
     # mean gap 6s at n=1000, rate 1%/min: expect ~100 events in 600s,
     # sd ~ sqrt(100/shape) ~= 7, so a 3-sigma corridor around 100
-    shape, scale = gamma_params_for_rate(1000, FailureConfig(rate_pct_per_min=1.0))
+    cfg = FailureConfig(rate_pct_per_min=1.0)
+    shape = cfg.gamma_shape
+    scale = mean_failure_gap(1000, cfg) / shape
     stream = RngStream("failure", 101)
     counts = []
     for _ in range(10):

@@ -801,7 +801,9 @@ def poller_cases(draw):
     return dc.subs, cfg
 
 
-@settings(max_examples=100, deadline=None)
+# 300 examples, not 100: at 100 the fixed examples miss a relay guard
+# that skips the responder's wrong entries (``if bad:`` for ``if bad or bad_t:``)
+@settings(max_examples=300, deadline=None)
 @given(poller_cases(), st.integers(min_value=0, max_value=2**32 - 1))
 def test_pollers_match_oracle_on_random_topologies(case, seed):
     subs, cfg = case
