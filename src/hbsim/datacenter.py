@@ -42,15 +42,14 @@ sorted row.  That is about 33 B per subscription at n=10 000, k=100 and
 39 B at n=2000, k=45 (tracemalloc, 64-bit CPython 3.11).
 
 Set-up order: peak memory is what bounds n, so a set-up must peak at the
-footprint the run keeps, not above it.  ``build_datacenter`` hands each
-topology row to the centre as it is drawn, and the centre maps it through
-the shared ids at once, so at n=10 000, k=100 the 10**6 drawn ints (about
-28 MB) are never alive together.  For a transitive run the centre then
-builds the overlap pairs (:func:`build_overlap_pairs`) from its mapped
-rows, before it allocates the beliefs, observation times, reverse index
-and dead-target lists.  The pair build's scratch n-bit masks (about 13 MB
-at n=10 000) are freed by then, so that state reuses their memory instead
-of sitting beside them.
+footprint the run keeps, not above it.  ``build_datacenter`` maps each
+topology row through the shared ids as it is drawn, so at n=10 000, k=100
+the 10**6 drawn ints (about 28 MB) are never alive together.  For a
+transitive run the centre then builds the overlap pairs
+(:func:`build_overlap_pairs`) from its mapped rows, before it allocates
+the beliefs, observation times, reverse index and dead-target lists.  The
+pair build's scratch n-bit masks (about 13 MB at n=10 000) are freed by
+then, so that state reuses their memory instead of sitting beside them.
 """
 
 from __future__ import annotations
@@ -106,11 +105,13 @@ class DataCenter:
     responder t's belief for a relayed entry only while ``bad_count[i]``
     or ``bad_count[t]`` is nonzero.
 
-    ``subscriptions`` rows may come in any order and are stored sorted.  A
-    row with a target outside ``[0, n)``, a duplicate, the node itself, or
-    a length other than ``k`` (when given) raises ``ValueError`` naming the
-    node.  ``subscriptions`` may be any iterable of rows when ``nodes``
-    gives their number.
+    ``subscriptions`` rows come from outside, so the constructor checks
+    them: they may come in any order and are stored sorted, and a row with
+    a target outside ``[0, n)``, a duplicate, the node itself, or a length
+    other than ``k`` (when given) raises ``ValueError`` naming the node.
+    ``subscriptions`` may be any iterable of rows when ``nodes`` gives
+    their number.  :func:`build_datacenter` skips these checks, since its
+    sampler's rows pass them by construction.
 
     ``overlap_pairs`` is the centre's :func:`build_overlap_pairs` result
     when it was made with ``overlap_pairs=True``, else None; only the
@@ -141,7 +142,13 @@ class DataCenter:
             subs.append(list(map(ids.__getitem__, row)))
         if len(subs) != n:
             raise ValueError(f"expected {n} subscription rows, got {len(subs)}")
+        self._set_up(subs, load_window_s, overlap_pairs)
 
+    def _set_up(self, subs: list[list[int]], load_window_s: float, overlap_pairs: bool) -> None:
+        """The state of a fresh centre over ``subs``: one row per node,
+        each sorted, distinct, in range, without its node and mapped
+        through one shared list of node ids."""
+        n = len(subs)
         self.n = n
         self.alive = [True] * n
         self.subs = subs
@@ -403,12 +410,18 @@ def build_datacenter(n: int, k: int, topology_stream: RngStream,
 
     Rejection sampling against the topology stream keeps the draw sequence
     (and therefore the graph) a pure function of the stream seed.  Each row
-    goes to the centre as it is drawn, so the draws never pile up.
-    ``overlap_pairs`` has the centre build its overlap pairs as well, which
-    a transitive run needs.
+    is mapped through the shared node ids as it is drawn, so the draws never
+    pile up.  :meth:`RngStream.distinct_indices` returns k sorted, distinct
+    ids in ``[0, n)`` without the node, so the rows skip the constructor's
+    row checks, which only rows from outside need.  ``overlap_pairs`` has
+    the centre build its overlap pairs as well, which a transitive run
+    needs.
     """
     if k < 0 or k > n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k} n={n}")
     draw = topology_stream.distinct_indices
-    return DataCenter((draw(n, k, i) for i in range(n)), k=k, load_window_s=load_window_s,
-                      nodes=n, overlap_pairs=overlap_pairs)
+    ids = list(range(n))
+    dc = DataCenter.__new__(DataCenter)
+    dc._set_up([list(map(ids.__getitem__, draw(n, k, i))) for i in range(n)],
+               load_window_s, overlap_pairs)
+    return dc

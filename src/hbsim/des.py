@@ -25,6 +25,7 @@ import hashlib
 import math
 import random
 from heapq import heappop, heappush
+from itertools import repeat, starmap
 from typing import Callable, NamedTuple
 
 
@@ -149,19 +150,33 @@ class RngStream:
     def distinct_indices(self, n: int, k: int, exclude: int) -> list[int]:
         """k distinct integers in [0, n) other than ``exclude``, ascending.
 
-        Rejection sampling: draws ``index(n)`` values one at a time and keeps
-        each new one, so the draw sequence is exactly that of calling
-        :meth:`index` until k distinct non-excluded values have appeared.
+        Rejection sampling: the draw sequence is exactly that of calling
+        :meth:`index` until k distinct non-excluded values have appeared,
+        and the stream is left where that loop leaves it.
+
+        The draws come in batches, each made in C.  A batch holds as many
+        draws as values are still missing, ``need``, counting ``exclude``
+        as present.  One draw adds at most one value, so the one-at-a-time
+        loop could not stop before the batch's last draw: no batch draws
+        past the point where it stops.  Each draw is ``floor(float(n) *
+        random())``, which is :meth:`index`'s ``int(n * random())``: an
+        int times a float multiplies ``float(n)``, and ``floor`` is
+        ``int`` on a non-negative float.  :meth:`index` clamps a product
+        of n to n - 1.  For n <= 2**53, ``float(n)`` is exact, the largest
+        ``random()``, 1 - 2**-53, gives a product that rounds below n, and
+        rounding is monotone, so no draw reaches n: the clamp is applied
+        only above that size.
         """
         if not 0 <= k <= n - 1:
             raise ValueError(f"need 0 <= k <= n-1, got k={k} n={n}")
         r = self._rng.random
         chosen = {exclude}
-        add = chosen.add
         want = k + 1
-        while len(chosen) < want:
-            value = int(n * r())
-            add(value if value < n else n - 1)
+        while need := want - len(chosen):
+            batch = map(math.floor, map(float(n).__mul__, starmap(r, repeat((), need))))
+            if n > 2**53:
+                batch = map(min, batch, repeat(n - 1))
+            chosen.update(batch)
         chosen.discard(exclude)
         return sorted(chosen)
 

@@ -57,6 +57,11 @@ def fingerprint(nodes: int, rate_pct_per_min: float, kind: str) -> str:
     return f"n{nodes}-r{rate_pct_per_min:g}-{kind}"
 
 
+# the upper bound of every float value: unlike inf, it also rejects an int
+# too large to become a float, which would raise OverflowError in a run
+_LARGEST_FLOAT = sys.float_info.max
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration; ``line`` locates file errors."""
 
@@ -89,36 +94,37 @@ class ExperimentConfig:
     load_window_s: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
+        # every bound below is a chained comparison that nan fails
+        if not self.nodes >= 1:
             raise ConfigError(f"nodes must be >= 1, got {self.nodes}")
-        if self.nodes > sys.float_info.max:
+        if self.nodes > _LARGEST_FLOAT:
             # the sqrt default and the failure gap take nodes as a float
-            raise ConfigError(f"nodes must not exceed the largest float, {sys.float_info.max}")
+            raise ConfigError(f"nodes must not exceed the largest float, {_LARGEST_FLOAT}")
         if not 0 <= self.k <= self.nodes - 1:
             raise ConfigError(
                 f"subscriptions must be in [0, nodes-1], got {self.k} for {self.nodes} nodes")
         protocol = self.protocol
         if protocol.kind not in PROTOCOL_KINDS:
             raise ConfigError(f"unknown protocol kind {protocol.kind!r}")
-        if not 0 < protocol.staleness_s < math.inf:
+        if not 0 < protocol.staleness_s <= _LARGEST_FLOAT:
             raise ConfigError(
                 f"staleness_s must be positive and finite, got {protocol.staleness_s}")
         if protocol.kind == CENTRAL and not 1 <= protocol.provider_count <= self.nodes:
             raise ConfigError(f"provider_count must be in [1, {self.nodes}]")
         if protocol.kind == HIERARCHICAL and protocol.hierarchy_levels < 2:
             raise ConfigError("hierarchy_levels must be >= 2")
-        if protocol.kind == HIERARCHICAL and protocol.hierarchy_levels > sys.float_info.max:
+        if protocol.kind == HIERARCHICAL and protocol.hierarchy_levels > _LARGEST_FLOAT:
             # build_global_view takes 1 / hierarchy_levels as a float
             raise ConfigError(
-                f"hierarchy_levels must not exceed the largest float, {sys.float_info.max}")
+                f"hierarchy_levels must not exceed the largest float, {_LARGEST_FLOAT}")
         if protocol.max_requests_per_s is not None and protocol.max_requests_per_s < 1:
             raise ConfigError("max_requests_per_s must be >= 1 when set")
         failure = self.failure
         rate = failure.rate_pct_per_min
-        if not 0 <= rate < math.inf:
+        if not 0 <= rate <= _LARGEST_FLOAT:
             raise ConfigError(f"failure_rate_pct_per_min must be >= 0 and finite, got {rate}")
         shape = failure.gamma_shape
-        if not 0 < shape < math.inf:
+        if not 0 < shape <= _LARGEST_FLOAT:
             raise ConfigError(f"gamma_shape must be positive and finite, got {shape}")
         if failure.repair_policy not in REPAIR_POLICIES:
             raise ConfigError(f"unknown repair_policy {failure.repair_policy!r}")
@@ -127,18 +133,17 @@ class ExperimentConfig:
             object.__setattr__(self, "failure", replace(failure, rate_pct_per_min=abs(rate)))
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        # chained comparisons against inf also reject nan, which compares false
-        if not 0 <= self.probe_start_s < math.inf:
+        if not 0 <= self.probe_start_s <= _LARGEST_FLOAT:
             raise ConfigError(f"probe_start_s must be >= 0 and finite, got {self.probe_start_s}")
-        if not 0 < self.probe_interval_s < math.inf:
+        if not 0 < self.probe_interval_s <= _LARGEST_FLOAT:
             raise ConfigError(
                 f"probe_interval_s must be positive and finite, got {self.probe_interval_s}")
-        if not 0 <= self.update_min_s <= self.update_max_s < math.inf:
+        if not 0 <= self.update_min_s <= self.update_max_s <= _LARGEST_FLOAT:
             raise ConfigError("need 0 <= update_min_s <= update_max_s, both finite")
         if self.update_max_s == 0:
             # zero-delay updates would repeat at t=0 forever
             raise ConfigError("update_max_s must be positive")
-        if not self.probe_start_s < self.duration_s < math.inf:
+        if not self.probe_start_s < self.duration_s <= _LARGEST_FLOAT:
             raise ConfigError(
                 f"duration_s must be finite and exceed probe_start_s, got {self.duration_s}")
         # an interval that cannot advance the clock at duration_s cannot
@@ -148,7 +153,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{name}={getattr(self, name)} is too small to advance the clock "
                     f"at duration_s={self.duration_s}")
-        if not 0 < self.load_window_s < math.inf:
+        if not 0 < self.load_window_s <= _LARGEST_FLOAT:
             raise ConfigError(f"load_window_s must be positive and finite, got {self.load_window_s}")
         # the last flush numbers the window after duration_s; that index
         # must be a finite number

@@ -21,12 +21,19 @@ for the P2P kinds, and per-target cache lists with the routes that
 The naive oracle in ``tests/reference_sim.py`` restates all four; the
 tests require identical state after every poll and identical whole runs.
 
-Staleness convention everywhere: an entry observed at ``ob`` is fresh at
-time ``now`` iff ``now - ob <= staleness_s``; only fresh entries are
-relayed, and relays keep the original observation time.  Ties on the
-observation time: a transitive relay applies only when strictly newer than
-the entry held, so first-hand information wins; a served reply applies on
-a tie.
+Staleness: an entry observed at ``ob`` is fresh at time ``now`` when it
+is at most ``staleness_s`` old; only fresh entries are relayed, and relays
+keep the original observation time.  Each kind pins one floating-point
+form of that test, because the two forms round differently within an ulp
+of the threshold.  The central and hierarchical kinds test ``now - ob <=
+staleness_s``.  The transitive kind takes ``cut = now - staleness_s`` once
+per poll and tests ``ob >= cut``, both for the entries it holds and for
+those it relays.  At now=49.54, ob=49.44 and a 0.1 s threshold the forms
+disagree: ``now - ob`` is 0.10000000000000142, stale by the first, while
+``ob >= cut`` holds.  The simple kind polls every target and tests no
+staleness.  Ties on the observation time: a transitive relay applies only
+when strictly newer than the entry held, so first-hand information wins;
+a served reply applies on a tie.
 """
 
 from __future__ import annotations

@@ -232,14 +232,20 @@ def test_every_config_error_has_a_line_or_names_a_key_the_text_sets(values):
             re.search(rf"\b{key}\b", message) for key in values), message
 
 
-@pytest.mark.parametrize("failure, key", [
-    (FailureConfig(rate_pct_per_min=-1.0), "failure_rate_pct_per_min"),
-    (FailureConfig(rate_pct_per_min=float("nan")), "failure_rate_pct_per_min"),
-    (FailureConfig(repair_policy="x"), "repair_policy"),
-])
-def test_the_constructor_names_the_config_key_it_rejects(failure, key):
+@pytest.mark.parametrize("keywords, key", [
+    ({"failure": FailureConfig(rate_pct_per_min=-1.0)}, "failure_rate_pct_per_min"),
+    ({"failure": FailureConfig(rate_pct_per_min=float("nan"))}, "failure_rate_pct_per_min"),
+    ({"failure": FailureConfig(repair_policy="x")}, "repair_policy"),
+    # an int beyond the float range would raise OverflowError in a run
+    ({"failure": FailureConfig(rate_pct_per_min=2**1100)}, "failure_rate_pct_per_min"),
+    ({"duration_s": 2**1100}, "duration_s"),
+    ({"nodes": float("nan")}, "nodes"),
+], ids=["failure0-failure_rate_pct_per_min", "failure1-failure_rate_pct_per_min",
+        "failure2-repair_policy", "failure3-failure_rate_pct_per_min",
+        "duration_s0-duration_s", "nodes0-nodes"])
+def test_the_constructor_names_the_config_key_it_rejects(keywords, key):
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
-        ExperimentConfig(nodes=10, failure=failure)
+        ExperimentConfig(**{"nodes": 10, **keywords})
 
 
 # -- run initialisation -------------------------------------------------------

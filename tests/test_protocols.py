@@ -585,6 +585,22 @@ def test_served_pollers_test_staleness_as_now_minus_observed(kind):
     assert dc.observed[1] == [0.1]
 
 
+def test_the_transitive_poller_tests_staleness_as_observed_at_or_after_the_cut():
+    # 49.54 - 49.44 is 0.10000000000000142, stale as now - ob <= 0.1, but
+    # 49.44 >= 49.54 - 0.1, the transitive form: the entry is fresh
+    dc = fresh_dc([[1, 2], [2], [1]])
+    poll = poller_for(dc, ProtocolConfig(kind=TRANSITIVE_P2P, staleness_s=0.1))
+    poll(1, 49.44)                          # 1 observes 2 at 49.44
+    poll(0, 49.54)
+    # 1's entry on 2 is relayed, so 2 itself is not polled
+    assert dc.observed[0] == [49.54, 49.44]
+    assert dc.total_payload == 1
+    before = dc.total_messages
+    poll(0, 49.54)
+    # and the entry held on 2 is not re-polled
+    assert dc.total_messages == before
+
+
 @pytest.mark.parametrize("kind", [CENTRAL, HIERARCHICAL])
 def test_served_pollers_apply_an_observation_on_a_tie(kind):
     # all at t=1: node 1 sees 7 alive first hand while its server 0 is down;
