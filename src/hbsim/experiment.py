@@ -94,8 +94,7 @@ class ExperimentConfig:
     load_window_s: float = 10.0
 
     def __post_init__(self) -> None:
-        # every bound below is a chained comparison that nan fails
-        if not self.nodes >= 1:
+        if not self.nodes >= 1:  # also rejects nan, which compares false
             raise ConfigError(f"nodes must be >= 1, got {self.nodes}")
         if self.nodes > _LARGEST_FLOAT:
             # the sqrt default and the failure gap take nodes as a float
@@ -133,6 +132,8 @@ class ExperimentConfig:
             object.__setattr__(self, "failure", replace(failure, rate_pct_per_min=abs(rate)))
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        # chained comparisons against the largest float also reject nan,
+        # which compares false
         if not 0 <= self.probe_start_s <= _LARGEST_FLOAT:
             raise ConfigError(f"probe_start_s must be >= 0 and finite, got {self.probe_start_s}")
         if not 0 < self.probe_interval_s <= _LARGEST_FLOAT:

@@ -321,8 +321,21 @@ def reference_distinct_indices(stream, n, k, exclude):
 
 @st.composite
 def distinct_draws(draw):
-    n = draw(st.integers(min_value=1, max_value=60))
-    k = draw(st.one_of(st.just(0), st.just(n - 1), st.integers(min_value=0, max_value=n - 1)))
+    """Any k up to n - 1 at small n, k = 0 and k = n - 1 among them;
+    run-sized rows, k = round(sqrt(n)) at n up to 2048, powers of two
+    among them, where a duplicate draw makes a second batch; and a few
+    values at n above 2**53, where the sampler clamps its draws."""
+    size = draw(st.sampled_from(["small", "run", "huge"]))
+    if size == "small":
+        n = draw(st.integers(min_value=1, max_value=60))
+        k = draw(st.one_of(st.just(0), st.just(n - 1), st.integers(min_value=0, max_value=n - 1)))
+    elif size == "run":
+        n = draw(st.one_of(st.sampled_from([2**e for e in range(6, 12)]),
+                           st.integers(min_value=61, max_value=2048)))
+        k = round(math.sqrt(n))
+    else:
+        n = draw(st.integers(min_value=2**53 + 1, max_value=2**64))
+        k = draw(st.integers(min_value=0, max_value=3))
     return n, k, draw(st.integers(min_value=0, max_value=n - 1)), draw(st.integers(0, 2**64 - 1))
 
 

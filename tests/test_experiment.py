@@ -30,7 +30,7 @@ from hbsim.experiment import (
     run_one,
     run_sweep,
 )
-from hbsim.failure import FailureConfig, ScriptedFailureStream
+from hbsim.failure import REPAIR_POLICIES, FailureConfig, ScriptedFailureStream
 from hbsim.outputs import write_outputs
 from hbsim.protocols import (
     CENTRAL,
@@ -446,13 +446,51 @@ def test_engine_matches_bruteforce_reference():
         for window in (0.01, 1.0, 10.0):
             kcfg = replace(cfg, protocol=ProtocolConfig(kind=kind, max_requests_per_s=3),
                            load_window_s=window)
-            engine = run_one(kcfg, 0)
-            oracle = reference_run(kcfg, 0)
-            assert engine.probes == oracle.probes
-            assert engine.failures == oracle.failure_log
-            assert engine.summary.total_messages == oracle.messages
-            assert engine.summary.total_payload_entries == oracle.payload
-            assert engine.load == oracle.load_rows()
+            assert_run_matches_oracle(kcfg)
+
+
+def assert_run_matches_oracle(cfg):
+    engine = run_one(cfg, 0)
+    oracle = reference_run(cfg, 0)
+    assert engine.probes == oracle.probes
+    assert engine.failures == oracle.failure_log
+    assert engine.summary.total_messages == oracle.messages
+    assert engine.summary.total_payload_entries == oracle.payload
+    assert engine.load == oracle.load_rows()
+
+
+@st.composite
+def every_key_configs(draw):
+    """A small config of any kind that sets every key away from its
+    default: staleness 0.1-7 s, update gaps from a fixed one to U(2, 5),
+    gamma shape 0.3-9, probe start 0-2 s and interval 0.25-3 s, a
+    0.5-10 s window, caps of 1 or 3 or none and 2-4 tree levels."""
+    n = draw(st.integers(3, 40))
+    lo = draw(st.floats(0.3, 2.0))
+    hi = draw(st.one_of(st.just(lo), st.floats(lo, 5.0)))
+    protocol = ProtocolConfig(kind=draw(st.sampled_from(PROTOCOL_KINDS)),
+                              staleness_s=draw(st.floats(0.1, 7.0)),
+                              provider_count=draw(st.integers(1, 3)),
+                              hierarchy_levels=draw(st.integers(2, 4)),
+                              max_requests_per_s=draw(st.sampled_from([None, 1, 3])))
+    failure = FailureConfig(rate_pct_per_min=draw(st.sampled_from([0.0, 10.0, 60.0, 200.0])),
+                            gamma_shape=draw(st.floats(0.3, 9.0)),
+                            repair_policy=draw(st.sampled_from(REPAIR_POLICIES)))
+    return ExperimentConfig(
+        nodes=n, subscriptions=draw(st.integers(0, min(7, n - 1))), protocol=protocol,
+        failure=failure, duration_s=draw(st.sampled_from([5.0, 30.0])), runs=1,
+        seed=draw(st.integers(0, 2**32 - 1)), probe_start_s=draw(st.floats(0.0, 2.0)),
+        probe_interval_s=draw(st.floats(0.25, 3.0)), update_min_s=lo, update_max_s=hi,
+        load_window_s=draw(st.floats(0.5, 10.0)))
+
+
+# the other oracle comparisons keep staleness, the update gaps, the gamma
+# shape and the probe times at their defaults, where a run that ignores
+# one of them computes what the model does
+@settings(max_examples=200, deadline=None)
+@given(every_key_configs())
+def test_engine_matches_the_oracle_with_every_key_set(cfg):
+    assert_run_matches_oracle(cfg)
 
 
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)

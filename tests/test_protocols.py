@@ -586,8 +586,8 @@ def test_served_pollers_test_staleness_as_now_minus_observed(kind):
 
 
 def test_the_transitive_poller_tests_staleness_as_observed_at_or_after_the_cut():
-    # 49.54 - 49.44 is 0.10000000000000142, stale as now - ob <= 0.1, but
-    # 49.44 >= 49.54 - 0.1, the transitive form: the entry is fresh
+    # 49.54 - 49.44 is 0.10000000000000142, stale by the served kinds'
+    # now - ob <= 0.1, but fresh by the transitive 49.44 >= 49.54 - 0.1
     dc = fresh_dc([[1, 2], [2], [1]])
     poll = poller_for(dc, ProtocolConfig(kind=TRANSITIVE_P2P, staleness_s=0.1))
     poll(1, 49.44)                          # 1 observes 2 at 49.44
