@@ -105,31 +105,27 @@ class DataCenter:
     responder t's belief for a relayed entry only while ``bad_count[i]``
     or ``bad_count[t]`` is nonzero.
 
-    ``subscriptions`` rows come from outside, so the constructor checks
-    them: they may come in any order and are stored sorted, and a row with
-    a target outside ``[0, n)``, a duplicate, the node itself, or a length
-    other than ``k`` (when given) raises ``ValueError`` naming the node.
-    ``subscriptions`` may be any iterable of rows when ``nodes`` gives
-    their number.  :func:`build_datacenter` skips these checks, since its
-    sampler's rows pass them by construction.
+    ``subscriptions`` is a list of rows, one per node, so n is its length.
+    The rows come from outside, so the constructor checks them: they may
+    come in any order and are stored sorted, and a row with a target
+    outside ``[0, n)``, a duplicate or the node itself raises
+    ``ValueError`` naming the node.  :func:`build_datacenter` skips these
+    checks, since its sampler's rows pass them by construction.
 
     ``overlap_pairs`` is the centre's :func:`build_overlap_pairs` result
     when it was made with ``overlap_pairs=True``, else None; only the
     transitive poller reads it.
     """
 
-    def __init__(self, subscriptions: Iterable[Iterable[int]], k: int | None = None,
-                 load_window_s: float = 10.0, *, nodes: int | None = None,
+    def __init__(self, subscriptions: list[Iterable[int]], load_window_s: float = 10.0, *,
                  overlap_pairs: bool = False):
-        n = len(subscriptions) if nodes is None else nodes
+        n = len(subscriptions)
         # every row maps through one list of node ids, so all rows share one
         # int object per node instead of holding their own copies
         ids = list(range(n))
         subs = []
         for i, targets in enumerate(subscriptions):
             row = sorted(targets)
-            if k is not None and len(row) != k:
-                raise ValueError(f"node {i} has {len(row)} subscriptions, expected {k}")
             if row:
                 if row[0] < 0:
                     raise ValueError(f"node {i} subscribes to unknown node {row[0]}")
@@ -140,8 +136,6 @@ class DataCenter:
                 if i in row:
                     raise ValueError(f"node {i} subscribes to itself")
             subs.append(list(map(ids.__getitem__, row)))
-        if len(subs) != n:
-            raise ValueError(f"expected {n} subscription rows, got {len(subs)}")
         self._set_up(subs, load_window_s, overlap_pairs)
 
     def _set_up(self, subs: list[list[int]], load_window_s: float, overlap_pairs: bool) -> None:

@@ -1,9 +1,10 @@
 """Experiment harness: configs, run orchestration, sweeps, statistics.
 
 A config is checked once, when it is made, and is frozen, so everything
-downstream takes it as given.  ``ExperimentConfig``'s constructor checks
-every value, its protocol and failure records' too; ``parse_config`` adds
-only the checks that point at a line of the file.
+downstream takes it as given.  ``_CONFIG_KEYS`` declares each key's type
+and own rule once; ``ExperimentConfig``'s constructor checks them in one
+loop, then the rules that involve two keys.  ``parse_config`` checks only
+the file's syntax.
 
 One *run* wires up a data centre, schedules the initial events (the
 monitoring probe first, then one update event per node, then the first
@@ -57,28 +58,67 @@ def fingerprint(nodes: int, rate_pct_per_min: float, kind: str) -> str:
     return f"n{nodes}-r{rate_pct_per_min:g}-{kind}"
 
 
-# the upper bound of every float value: unlike inf, it also rejects an int
+# the upper bound of every ranged number: unlike inf, it also rejects an int
 # too large to become a float, which would raise OverflowError in a run
 _LARGEST_FLOAT = sys.float_info.max
 
+# config key -> (section, attribute, type, rule).  The type is also the file
+# parser.  The rule is a str key's choices, or a number's lowest value and
+# whether that value itself is allowed (every ranged number is at most
+# _LARGEST_FLOAT), or None where the key's only rules involve another key.
+_CONFIG_KEYS = {
+    "nodes": ("root", "nodes", int, (1, True)),
+    "subscriptions": ("root", "subscriptions", int, None),
+    "duration_s": ("root", "duration_s", float, None),
+    "runs": ("root", "runs", int, (1, True)),
+    "seed": ("root", "seed", int, None),
+    "probe_start_s": ("root", "probe_start_s", float, (0, True)),
+    "probe_interval_s": ("root", "probe_interval_s", float, (0, False)),
+    "update_min_s": ("root", "update_min_s", float, (0, True)),
+    # zero-delay updates would repeat at t=0 forever
+    "update_max_s": ("root", "update_max_s", float, (0, False)),
+    "load_window_s": ("root", "load_window_s", float, (0, False)),
+    "protocol": ("protocol", "kind", str, PROTOCOL_KINDS),
+    "staleness_s": ("protocol", "staleness_s", float, (0, False)),
+    "provider_count": ("protocol", "provider_count", int, None),
+    "hierarchy_levels": ("protocol", "hierarchy_levels", int, None),
+    "max_requests_per_s": ("protocol", "max_requests_per_s", int, (1, True)),
+    "failure_rate_pct_per_min": ("failure", "rate_pct_per_min", float, (0, True)),
+    "gamma_shape": ("failure", "gamma_shape", float, (0, False)),
+    "repair_policy": ("failure", "repair_policy", str, REPAIR_POLICIES),
+}
+_TAKES_NONE = ("subscriptions", "max_requests_per_s")  # the keys that also take None
+
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; ``line`` locates file errors."""
+    """Invalid experiment configuration; ``key`` names its key, ``line`` its file line."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, key: str | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.key = key
+
+
+def _rejected(rule: str, **values) -> ConfigError:
+    """A ``ConfigError`` about the key of the first of ``values``: the rule
+    it breaks, then every value the rule reads.  An int beyond the float
+    range, which can have too many digits for ``str``, shows as its size."""
+    shown = ", ".join(f"{name}=an int of {value.bit_length()} bits"
+                      if isinstance(value, int) and abs(value) > _LARGEST_FLOAT
+                      else f"{name}={value!r}" for name, value in values.items())
+    key = next(iter(values))
+    return ConfigError(f"{key} {rule}: {shown}", key=key)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A valid, unchangeable experiment: the constructor, which
     ``dataclasses.replace`` also calls, raises ``ConfigError`` naming the
-    key of any value, its own or its protocol's or failure's, that would
-    crash a run or stop its clock.  Runs read the subscription count ``k``.
-    """
+    key of any value, its protocol's or failure's too, of the wrong type,
+    that breaks its key's rule, or that would crash a run or stop its
+    clock.  Runs read the subscription count ``k``."""
 
     nodes: int
     subscriptions: int | None = None     # None -> k = round(sqrt(nodes))
@@ -94,96 +134,84 @@ class ExperimentConfig:
     load_window_s: float = 10.0
 
     def __post_init__(self) -> None:
-        if not self.nodes >= 1:  # also rejects nan, which compares false
-            raise ConfigError(f"nodes must be >= 1, got {self.nodes}")
-        if self.nodes > _LARGEST_FLOAT:
-            # the sqrt default and the failure gap take nodes as a float
-            raise ConfigError(f"nodes must not exceed the largest float, {_LARGEST_FLOAT}")
-        if not 0 <= self.k <= self.nodes - 1:
-            raise ConfigError(
-                f"subscriptions must be in [0, nodes-1], got {self.k} for {self.nodes} nodes")
-        protocol = self.protocol
-        if protocol.kind not in PROTOCOL_KINDS:
-            raise ConfigError(f"unknown protocol kind {protocol.kind!r}")
-        if not 0 < protocol.staleness_s <= _LARGEST_FLOAT:
-            raise ConfigError(
-                f"staleness_s must be positive and finite, got {protocol.staleness_s}")
-        if protocol.kind == CENTRAL and not 1 <= protocol.provider_count <= self.nodes:
-            raise ConfigError(f"provider_count must be in [1, {self.nodes}]")
-        if protocol.kind == HIERARCHICAL and protocol.hierarchy_levels < 2:
-            raise ConfigError("hierarchy_levels must be >= 2")
-        if protocol.kind == HIERARCHICAL and protocol.hierarchy_levels > _LARGEST_FLOAT:
-            # build_global_view takes 1 / hierarchy_levels as a float
-            raise ConfigError(
-                f"hierarchy_levels must not exceed the largest float, {_LARGEST_FLOAT}")
-        if protocol.max_requests_per_s is not None and protocol.max_requests_per_s < 1:
-            raise ConfigError("max_requests_per_s must be >= 1 when set")
-        failure = self.failure
-        rate = failure.rate_pct_per_min
-        if not 0 <= rate <= _LARGEST_FLOAT:
-            raise ConfigError(f"failure_rate_pct_per_min must be >= 0 and finite, got {rate}")
-        shape = failure.gamma_shape
-        if not 0 < shape <= _LARGEST_FLOAT:
-            raise ConfigError(f"gamma_shape must be positive and finite, got {shape}")
-        if failure.repair_policy not in REPAIR_POLICIES:
-            raise ConfigError(f"unknown repair_policy {failure.repair_policy!r}")
-        if rate == 0:
-            # -0.0 would name a cell r-0; the caller's FailureConfig is left alone
-            object.__setattr__(self, "failure", replace(failure, rate_pct_per_min=abs(rate)))
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        # chained comparisons against the largest float also reject nan,
-        # which compares false
-        if not 0 <= self.probe_start_s <= _LARGEST_FLOAT:
-            raise ConfigError(f"probe_start_s must be >= 0 and finite, got {self.probe_start_s}")
-        if not 0 < self.probe_interval_s <= _LARGEST_FLOAT:
-            raise ConfigError(
-                f"probe_interval_s must be positive and finite, got {self.probe_interval_s}")
-        if not 0 <= self.update_min_s <= self.update_max_s <= _LARGEST_FLOAT:
-            raise ConfigError("need 0 <= update_min_s <= update_max_s, both finite")
-        if self.update_max_s == 0:
-            # zero-delay updates would repeat at t=0 forever
-            raise ConfigError("update_max_s must be positive")
-        if not self.probe_start_s < self.duration_s <= _LARGEST_FLOAT:
-            raise ConfigError(
-                f"duration_s must be finite and exceed probe_start_s, got {self.duration_s}")
+        protocol, failure = self.protocol, self.failure
+        for name, record in (("protocol", ProtocolConfig), ("failure", FailureConfig)):
+            if not isinstance(getattr(self, name), record):
+                raise _rejected(f"must be a {record.__name__}", **{name: getattr(self, name)})
+        records = {"root": self, "protocol": protocol, "failure": failure}
+        for key, (section, attr, kind, rule) in _CONFIG_KEYS.items():
+            value = getattr(records[section], attr)
+            if value is None and key in _TAKES_NONE:
+                continue
+            if kind is str:
+                if value not in rule:
+                    raise _rejected(f"must be one of {', '.join(rule)}", **{key: value})
+            # an int key takes an int, and a float key an int or a float
+            elif isinstance(value, bool) or not isinstance(value, (int, kind)):
+                wanted = "a number" if kind is float else "an int" + " or None" * (key in _TAKES_NONE)
+                raise _rejected(f"must be {wanted}", **{key: value})
+            elif rule is not None:
+                low, low_allowed = rule
+                # nan compares false, so it breaks every range
+                if not (low <= value <= _LARGEST_FLOAT and (low_allowed or value != low)):
+                    interval = f"{'[' if low_allowed else '('}{low}, {_LARGEST_FLOAT}]"
+                    raise _rejected(f"must be in {interval}", **{key: value})
+
+        # the rules that involve two keys
+        nodes = self.nodes
+        if not 0 <= self.k <= nodes - 1:
+            raise _rejected("must be in [0, nodes-1]", subscriptions=self.k, nodes=nodes)
+        if protocol.kind == CENTRAL and not 1 <= protocol.provider_count <= nodes:
+            raise _rejected("must be in [1, nodes] for the central kind",
+                            provider_count=protocol.provider_count, nodes=nodes)
+        # build_global_view takes 1 / hierarchy_levels as a float
+        if protocol.kind == HIERARCHICAL and not 2 <= protocol.hierarchy_levels <= _LARGEST_FLOAT:
+            raise _rejected(f"must be in [2, {_LARGEST_FLOAT}] for the hierarchical kind",
+                            hierarchy_levels=protocol.hierarchy_levels)
+        if not self.update_min_s <= self.update_max_s:
+            raise _rejected("must not exceed update_max_s", update_min_s=self.update_min_s,
+                            update_max_s=self.update_max_s)
+        duration = self.duration_s
+        if not self.probe_start_s < duration <= _LARGEST_FLOAT:
+            raise _rejected(f"must exceed probe_start_s and be at most {_LARGEST_FLOAT}",
+                            duration_s=duration, probe_start_s=self.probe_start_s)
         # an interval that cannot advance the clock at duration_s cannot
         # advance it at any earlier time either: the run would never end
         for name in ("probe_interval_s", "update_max_s"):
-            if self.duration_s + getattr(self, name) == self.duration_s:
-                raise ConfigError(
-                    f"{name}={getattr(self, name)} is too small to advance the clock "
-                    f"at duration_s={self.duration_s}")
-        if not 0 < self.load_window_s <= _LARGEST_FLOAT:
-            raise ConfigError(f"load_window_s must be positive and finite, got {self.load_window_s}")
+            if duration + getattr(self, name) == duration:
+                raise _rejected("is too small to advance the clock at duration_s",
+                                **{name: getattr(self, name)}, duration_s=duration)
         # the last flush numbers the window after duration_s; that index
         # must be a finite number
-        if not (self.duration_s + self.load_window_s) / self.load_window_s < math.inf:
-            raise ConfigError(
-                f"load_window_s={self.load_window_s} is too small: the window index "
-                f"at duration_s={self.duration_s} is not a finite number")
-        if rate > 0:
-            # like the probe and update intervals, the mean failure gap must
-            # advance the clock at duration_s, and the gamma sampler must not
-            # draw only zeros
-            gap = mean_failure_gap(self.nodes, failure)
-            if not gap < math.inf:
-                raise ConfigError(
-                    f"failure_rate_pct_per_min={rate} is too small: the mean failure gap "
-                    f"at nodes={self.nodes} is not a finite number of seconds")
-            if self.duration_s + gap == self.duration_s:
-                raise ConfigError(
-                    f"failure_rate_pct_per_min={rate} is too large: the mean failure gap "
-                    f"{gap} s at nodes={self.nodes} cannot advance the clock at "
-                    f"duration_s={self.duration_s}")
-            if not gap / shape < math.inf:
-                raise ConfigError(
-                    f"gamma_shape={shape} is too small: the gamma scale, mean gap {gap} s "
-                    f"/ gamma_shape, is not finite")
-            if gamma_draws_vanish(shape):
-                raise ConfigError(
-                    f"gamma_shape={shape} is too small: the gamma sampler draws every "
-                    f"failure gap as 0 s, so the clock never advances")
+        window = self.load_window_s
+        if not (duration + window) / window < math.inf:
+            raise _rejected("is too small: the window index at duration_s is not finite",
+                            load_window_s=window, duration_s=duration)
+        rate, shape = failure.rate_pct_per_min, failure.gamma_shape
+        if rate == 0:
+            # -0.0 would name a cell r-0; the caller's FailureConfig is left alone
+            object.__setattr__(self, "failure", replace(failure, rate_pct_per_min=abs(rate)))
+            return
+        # like the probe and update intervals, the mean failure gap must
+        # advance the clock at duration_s, and the gamma sampler must not
+        # draw only zeros
+        try:
+            gap = mean_failure_gap(nodes, failure)
+        except OverflowError:  # an int rate whose product with nodes is no float
+            gap = 0.0  # a run would fail on it too; the true gap is below 1e-306 s
+        if not gap < math.inf:
+            raise _rejected("is too small: the mean failure gap is not a finite number of "
+                            "seconds", failure_rate_pct_per_min=rate, nodes=nodes)
+        if duration + gap == duration:
+            raise _rejected("is too large: the mean failure gap cannot advance the clock at "
+                            "duration_s", failure_rate_pct_per_min=rate, nodes=nodes,
+                            mean_gap_s=gap, duration_s=duration)
+        if not gap / shape < math.inf:
+            raise _rejected("is too small: the gamma scale, mean gap / gamma_shape, is not "
+                            "finite", gamma_shape=shape, mean_gap_s=gap)
+        if gamma_draws_vanish(shape):
+            raise _rejected("is too small: the gamma sampler draws every failure gap as 0 s",
+                            gamma_shape=shape)
 
     @property
     def k(self) -> int:
@@ -197,36 +225,13 @@ class ExperimentConfig:
         return fingerprint(self.nodes, self.failure.rate_pct_per_min, self.protocol.kind)
 
 
-# config file keys -> (section, attribute, parser)
-_CONFIG_KEYS = {
-    "nodes": ("root", "nodes", int),
-    "subscriptions": ("root", "subscriptions", int),
-    "duration_s": ("root", "duration_s", float),
-    "runs": ("root", "runs", int),
-    "seed": ("root", "seed", int),
-    "probe_start_s": ("root", "probe_start_s", float),
-    "probe_interval_s": ("root", "probe_interval_s", float),
-    "update_min_s": ("root", "update_min_s", float),
-    "update_max_s": ("root", "update_max_s", float),
-    "load_window_s": ("root", "load_window_s", float),
-    "protocol": ("protocol", "kind", str),
-    "staleness_s": ("protocol", "staleness_s", float),
-    "provider_count": ("protocol", "provider_count", int),
-    "hierarchy_levels": ("protocol", "hierarchy_levels", int),
-    "max_requests_per_s": ("protocol", "max_requests_per_s", int),
-    "failure_rate_pct_per_min": ("failure", "rate_pct_per_min", float),
-    "gamma_shape": ("failure", "gamma_shape", float),
-    "repair_policy": ("failure", "repair_policy", str),
-}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the key=value config format (UTF-8, '#' comments).
 
-    Unknown and duplicate keys are rejected with their line number, as are
-    values of the wrong type; every other invariant is checked by
-    ``ExperimentConfig`` as the config is made.  ``nodes`` is the only
-    required key.
+    A line without ``=``, an unknown or repeated key and a value its key's
+    type cannot parse are rejected with their line number, and a text
+    without ``nodes``, the only required key, as such.  ``ExperimentConfig``
+    checks the values; its error gets the line of the key it names.
     """
     values: dict[str, object] = {}
     seen_lines: dict[str, int] = {}
@@ -244,25 +249,25 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in seen_lines:
             raise ConfigError(f"duplicate key {key!r} (first on line {seen_lines[key]})", lineno)
         seen_lines[key] = lineno
-        _, _, parser = _CONFIG_KEYS[key]
+        _, _, parser, _ = _CONFIG_KEYS[key]
         try:
             values[key] = parser(value)
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {value!r}", lineno) from None
     if "nodes" not in values:
         raise ConfigError("missing required key 'nodes'")
-    if "protocol" in values and values["protocol"] not in PROTOCOL_KINDS:
-        raise ConfigError(f"unknown protocol {values['protocol']!r}", seen_lines["protocol"])
-    if "repair_policy" in values and values["repair_policy"] not in REPAIR_POLICIES:
-        raise ConfigError(f"unknown repair_policy {values['repair_policy']!r}",
-                          seen_lines["repair_policy"])
 
     sections: dict[str, dict] = {"root": {}, "protocol": {}, "failure": {}}
     for key, value in values.items():
-        section, attr, _ = _CONFIG_KEYS[key]
+        section, attr, _, _ = _CONFIG_KEYS[key]
         sections[section][attr] = value
-    return ExperimentConfig(protocol=ProtocolConfig(**sections["protocol"]),
-                            failure=FailureConfig(**sections["failure"]), **sections["root"])
+    try:
+        return ExperimentConfig(protocol=ProtocolConfig(**sections["protocol"]),
+                                failure=FailureConfig(**sections["failure"]), **sections["root"])
+    except ConfigError as err:
+        if err.key not in seen_lines:
+            raise
+        raise ConfigError(str(err), seen_lines[err.key], err.key) from None
 
 
 # -- single run ----------------------------------------------------------

@@ -205,7 +205,7 @@ def test_oversized_node_count_is_a_config_error(tmp_path, capsys):
     huge = tmp_path / "huge.cfg"
     huge.write_text("nodes=" + "9" * 400 + "\n", encoding="utf-8")
     assert main(["run", "--config", str(huge), "--out", str(tmp_path / "o")]) == 1
-    assert "config error: nodes must not exceed" in capsys.readouterr().err
+    assert "config error: line 1: nodes must be in [1, " in capsys.readouterr().err
 
 
 def test_unknown_protocol_in_sweep(cfg_file, capsys):

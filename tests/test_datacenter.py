@@ -79,29 +79,21 @@ def test_constructor_rejects_duplicates():
         DataCenter([[1, 1], [0, 0]])
 
 
-@pytest.mark.parametrize("rows, k, message", [
-    ([[1], [0], [0, 3]], None, "node 2 subscribes to unknown node 3"),
-    ([[1], [-1, 0]], None, "node 1 subscribes to unknown node -1"),
-    ([[1], [0, 2], [0]], 1, "node 1 has 2 subscriptions, expected 1"),
-    ([[1], [0], [3, 2, 0], [0]], None, "node 2 subscribes to itself"),
-    ([[1], [2, 0, 2], [0]], None, "node 1 has duplicate subscription targets"),
-], ids=["target_ge_n", "negative_target", "wrong_length", "self_in_unsorted_row",
-        "duplicate_in_unsorted_row"])
-def test_constructor_rejection_names_the_node(rows, k, message):
+@pytest.mark.parametrize("rows, message", [
+    ([[1], [0], [0, 3]], "node 2 subscribes to unknown node 3"),
+    ([[1], [-1, 0]], "node 1 subscribes to unknown node -1"),
+    ([[1], [0], [3, 2, 0], [0]], "node 2 subscribes to itself"),
+    ([[1], [2, 0, 2], [0]], "node 1 has duplicate subscription targets"),
+], ids=["target_ge_n", "negative_target", "self_in_unsorted_row", "duplicate_in_unsorted_row"])
+def test_constructor_rejection_names_the_node(rows, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        DataCenter(rows, k=k)
-
-
-@pytest.mark.parametrize("rows", [[[1], [0]], [[1], [0], [0], [0]]], ids=["short", "long"])
-def test_constructor_rejects_a_row_count_other_than_nodes(rows):
-    with pytest.raises(ValueError, match=f"^expected 3 subscription rows, got {len(rows)}$"):
-        DataCenter(iter(rows), nodes=3)
+        DataCenter(rows)
 
 
 def test_centre_built_from_drawn_rows_matches_one_built_from_a_list():
     drawn = build_datacenter(50, 7, RngStream("topology", 3), overlap_pairs=True)
     stream = RngStream("topology", 3)
-    listed = DataCenter([stream.distinct_indices(50, 7, i) for i in range(50)], k=7)
+    listed = DataCenter([stream.distinct_indices(50, 7, i) for i in range(50)])
     assert drawn.subs == listed.subs
     assert drawn.subscribers == listed.subscribers
     assert listed.overlap_pairs is None

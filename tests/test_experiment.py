@@ -7,10 +7,11 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hbsim
@@ -18,6 +19,7 @@ from hbsim.datacenter import build_datacenter, build_overlap_pairs
 from hbsim.des import DispatchError, RngStream, derive_stream_seed, gamma_draws_vanish
 from hbsim.experiment import (
     _CONFIG_KEYS,
+    _TAKES_NONE,
     ConfigError,
     ExperimentConfig,
     aggregate,
@@ -96,6 +98,45 @@ def test_parse_rejects_bad_enums():
         parse_config("nodes=10\nprotocol=smoke_signals\n")
     with pytest.raises(ConfigError):
         parse_config("nodes=10\nrepair_policy=prayer\n")
+
+
+# one value per key with a rule of its own that breaks that rule; the
+# constructor reports it before any rule that involves two keys
+@pytest.mark.parametrize("key, value", [
+    ("nodes", "0"),
+    ("runs", "0"),
+    pytest.param("runs", "9" * 400, id="runs-400-nines"),
+    ("probe_start_s", "-1"),
+    ("probe_interval_s", "0"),
+    ("update_min_s", "-1"),
+    ("update_max_s", "0"),
+    ("load_window_s", "0"),
+    ("protocol", "smoke_signals"),
+    ("staleness_s", "0"),
+    ("max_requests_per_s", "0"),
+    pytest.param("max_requests_per_s", "9" * 400, id="max_requests_per_s-400-nines"),
+    ("failure_rate_pct_per_min", "-1"),
+    ("gamma_shape", "0"),
+    ("repair_policy", "prayer"),
+])
+def test_a_value_that_breaks_its_keys_own_rule_is_refused_with_its_line(key, value):
+    first = "runs=1" if key == "nodes" else "nodes=10"
+    second = "update_min_s=0" if key == "update_max_s" else "# line 3 breaks one rule"
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"{first}\n{second}\n{key}={value}\n")
+    assert (err.value.line, err.value.key) == (3, key)
+    assert str(err.value).startswith(f"line 3: {key} ")
+
+
+def test_the_key_table_declares_each_record_field_once_with_its_annotated_type():
+    records = {"root": ExperimentConfig, "protocol": ProtocolConfig, "failure": FailureConfig}
+    fields = [(section, f.name) for section, record in records.items()
+              for f in dataclasses.fields(record) if f.name not in ("protocol", "failure")]
+    declared = [(section, attr) for section, attr, _, _ in _CONFIG_KEYS.values()]
+    assert sorted(declared) == sorted(fields)
+    for key, (section, attr, kind, _) in _CONFIG_KEYS.items():
+        annotation = typing.get_type_hints(records[section])[attr]
+        assert annotation == (kind | None if key in _TAKES_NONE else kind), key
 
 
 def test_parse_comments_and_blanks_ignored():
@@ -240,12 +281,79 @@ def test_every_config_error_has_a_line_or_names_a_key_the_text_sets(values):
     ({"failure": FailureConfig(rate_pct_per_min=2**1100)}, "failure_rate_pct_per_min"),
     ({"duration_s": 2**1100}, "duration_s"),
     ({"nodes": float("nan")}, "nodes"),
+    # ints with more digits than str() may print
+    ({"duration_s": 10**5000}, "duration_s"),
+    ({"runs": 10**5000}, "runs"),
+    # nodes times an int rate is no float: the mean failure gap overflows
+    ({"nodes": 10**200, "failure": FailureConfig(rate_pct_per_min=10**200)},
+     "failure_rate_pct_per_min"),
 ], ids=["failure0-failure_rate_pct_per_min", "failure1-failure_rate_pct_per_min",
         "failure2-repair_policy", "failure3-failure_rate_pct_per_min",
-        "duration_s0-duration_s", "nodes0-nodes"])
+        "duration_s0-duration_s", "nodes0-nodes", "duration_s1-duration_s", "runs0-runs",
+        "nodes1-failure_rate_pct_per_min"])
 def test_the_constructor_names_the_config_key_it_rejects(keywords, key):
-    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+    with pytest.raises(ConfigError, match=rf"\b{key}\b") as err:
         ExperimentConfig(**{"nodes": 10, **keywords})
+    assert err.value.key == key
+
+
+# values of every type a caller may pass: bool, int, an int beyond the float
+# range, float (nan and inf included), str and None
+_ANY_VALUE = st.one_of(
+    st.booleans(), st.integers(), st.sampled_from([2**1100, -(10**400), 10**5000]),
+    st.floats(), st.sampled_from(PROTOCOL_KINDS + REPAIR_POLICIES), st.text(max_size=8),
+    st.none())
+
+
+def _key_values(key):
+    """Half the time any value, else a small one of ``key``'s own type."""
+    kind = _CONFIG_KEYS[key][2]
+    own = {int: st.integers(1, 30), float: st.floats(0.5, 30.0),
+           str: st.sampled_from(PROTOCOL_KINDS if key == "protocol" else REPAIR_POLICIES)}[kind]
+    return st.booleans().flatmap(lambda wild: _ANY_VALUE if wild else own)
+
+
+def _has_annotated_type(value, annotation) -> bool:
+    """Whether ``value`` has the type ``annotation`` names, where a bool is
+    not an int and a float field also takes an int."""
+    if typing.get_args(annotation):
+        return any(_has_annotated_type(value, arg) for arg in typing.get_args(annotation))
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if annotation is float else annotation)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.fixed_dictionaries({"nodes": _key_values("nodes")},
+                             optional={key: _key_values(key) for key in _CONFIG_KEYS
+                                       if key != "nodes"}),
+       st.one_of(st.just({}), st.fixed_dictionaries({"protocol": _ANY_VALUE}),
+                 st.fixed_dictionaries({"failure": _ANY_VALUE})))
+@example({"nodes": 10.0}, {})
+@example({"nodes": True}, {})
+@example({"nodes": "10"}, {})
+@example({"nodes": 10, "seed": 1.5}, {})
+@example({"nodes": 10, "protocol": HIERARCHICAL, "hierarchy_levels": 2.5}, {})
+@example({"nodes": 10, "max_requests_per_s": 1.5}, {})
+@example({"nodes": 10}, {"protocol": None})
+def test_the_constructor_gives_a_config_of_the_annotated_types_or_a_config_error(keys, records):
+    """``keys`` sets config keys, and ``records`` replaces a whole record."""
+    sections: dict[str, dict] = {"root": {}, "protocol": {}, "failure": {}}
+    for key, value in keys.items():
+        section, attr, _, _ = _CONFIG_KEYS[key]
+        sections[section][attr] = value
+    made = {"protocol": ProtocolConfig(**sections["protocol"]),
+            "failure": FailureConfig(**sections["failure"]), **records}
+    try:
+        cfg = ExperimentConfig(**made, **sections["root"])
+    except ConfigError as err:
+        # a rule of one key names that key; a rule of two keys names both in
+        # its message, and its key may be the one left at its default
+        named = set(keys) | set(records)
+        assert err.key in named or any(re.search(rf"\b{key}\b", str(err)) for key in named), err
+        return
+    for record in (cfg, cfg.protocol, cfg.failure):
+        for name, annotation in typing.get_type_hints(type(record)).items():
+            assert _has_annotated_type(getattr(record, name), annotation), (name, record)
 
 
 # -- run initialisation -------------------------------------------------------
