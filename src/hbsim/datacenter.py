@@ -54,8 +54,6 @@ then, so that state reuses their memory instead of sitting beside them.
 
 from __future__ import annotations
 
-import math
-import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable
@@ -93,9 +91,10 @@ class DataCenter:
     are their own indices.  Traffic goes only to the window's link counts,
     ``_win_msgs`` and ``_win_pay``, and a whole-row poll of node i adds 1
     to ``full_polls[i]`` instead of its target links; the switch row and
-    the run totals are derived from them.  ``next_boundary`` is the first
-    time of the window after the current one, so a poll divides by the
-    window width only when it may have to rotate the log.  Protocol code
+    the run totals are derived from them.  ``next_window`` is the index of
+    the first window that has not opened yet, so a poll rotates the log
+    once ``now / load_window_s >= next_window``: the same division that
+    numbers a message's window, ``int(t / load_window_s)``.  Protocol code
     in this package mutates the believed/observed rows directly; everything
     else must go through :meth:`apply_observation` and :meth:`set_liveness`
     so every ``bad_count`` stays true.  Three readers depend on it:
@@ -162,8 +161,7 @@ class DataCenter:
 
         # windowed load log
         self.load_window_s = load_window_s
-        self._win = 0
-        self.next_boundary = self._first_time_in_window(1)
+        self.next_window = 1
         self._win_msgs = [0] * (n + 1)  # the switch's slot is filled at flush
         self._win_pay = [0] * (n + 1)
         self._load_rows: list[tuple[float, int, int, int]] = []
@@ -247,39 +245,19 @@ class DataCenter:
 
     # -- load log -------------------------------------------------------
 
-    def _first_time_in_window(self, win: int) -> float:
-        """The smallest float t with ``int(t / load_window_s) >= win``, or
-        inf when no finite t has it.
-
-        ``t / w`` rounds, so ``win * w`` can miss that time by an ulp either
-        way.  The rounded quotient never decreases as t grows, so stepping
-        one float at a time from ``win * w`` until the division's verdict
-        flips finds the time exactly, in a step or two.
-        """
-        w = self.load_window_s
-        t = win * w
-        if t == math.inf:
-            t = sys.float_info.max
-            if int(t / w) < win:
-                return math.inf
-        if int(t / w) >= win:
-            while int(t / w) >= win:
-                t = math.nextafter(t, -math.inf)
-            return math.nextafter(t, math.inf)
-        while int(t / w) < win:
-            t = math.nextafter(t, math.inf)
-        return t
-
     def advance_window(self, t: float) -> None:
         """Rotate the current window forward so it contains time t.
 
-        A poll calls this only once ``t >= next_boundary``, the first time
-        of the next window; the division here still decides the rotation.
-        Only the current window can hold traffic, so it alone is flushed;
-        the windows skipped over would flush no row.
+        A poll calls this only once ``t / load_window_s >= next_window``.
+        For t >= 0 that holds exactly when ``int(t / load_window_s) >=
+        next_window``, since ``int`` floors a non-negative float and a float
+        compares exactly with an int, so the poll's test and this division
+        agree on every rotation.  Only the current window can hold traffic,
+        so it alone is flushed; the windows skipped over would flush no row.
         """
-        win = int(t / self.load_window_s)
-        if win <= self._win:
+        w = self.load_window_s
+        win = int(t / w)
+        if win < self.next_window:
             return
         n = self.n
         msgs = self._win_msgs
@@ -294,7 +272,7 @@ class DataCenter:
             full[i] = 0
         msgs[n] = sum(msgs) // 2  # two links per message; msgs[n] was 0
         pay[n] = sum(pay) // 2
-        start = self._win * self.load_window_s
+        start = (self.next_window - 1) * w
         rows = self._load_rows
         # compress() skips the quiet components in C
         for comp in compress(range(n + 1), msgs):
@@ -302,8 +280,7 @@ class DataCenter:
             msgs[comp] = 0
             if pay[comp]:
                 pay[comp] = 0
-        self._win = win
-        self.next_boundary = self._first_time_in_window(win + 1)
+        self.next_window = win + 1
 
     def message(self, sender: int, receiver: int, t: float,
                 payload_entries: int = 0) -> None:

@@ -71,7 +71,9 @@ _CONFIG_KEYS = {
     "subscriptions": ("root", "subscriptions", int, None),
     "duration_s": ("root", "duration_s", float, None),
     "runs": ("root", "runs", int, (1, True)),
-    "seed": ("root", "seed", int, None),
+    # des.derive_stream_seed prints the seed, which an int of over 4,300
+    # digits cannot be
+    "seed": ("root", "seed", int, (-_LARGEST_FLOAT, True)),
     "probe_start_s": ("root", "probe_start_s", float, (0, True)),
     "probe_interval_s": ("root", "probe_interval_s", float, (0, False)),
     "update_min_s": ("root", "update_min_s", float, (0, True)),
@@ -91,25 +93,30 @@ _TAKES_NONE = ("subscriptions", "max_requests_per_s")  # the keys that also take
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; ``key`` names its key, ``line`` its file line."""
+    """Invalid experiment configuration.  ``keys`` are the config keys its
+    message names, in order, ``key`` is the first of them, the one at fault,
+    and ``line`` is the file line of the first of them that the file sets."""
 
-    def __init__(self, message: str, line: int | None = None, key: str | None = None):
+    def __init__(self, message: str, line: int | None = None, keys: tuple[str, ...] = ()):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-        self.key = key
+        self.keys = keys
+        self.key = keys[0] if keys else None
 
 
 def _rejected(rule: str, **values) -> ConfigError:
     """A ``ConfigError`` about the key of the first of ``values``: the rule
-    it breaks, then every value the rule reads.  An int beyond the float
+    it breaks, then every value the rule reads.  Its keys are that key and
+    the config keys among the other values.  An int beyond the float
     range, which can have too many digits for ``str``, shows as its size."""
     shown = ", ".join(f"{name}=an int of {value.bit_length()} bits"
                       if isinstance(value, int) and abs(value) > _LARGEST_FLOAT
                       else f"{name}={value!r}" for name, value in values.items())
-    key = next(iter(values))
-    return ConfigError(f"{key} {rule}: {shown}", key=key)
+    key, *others = values
+    return ConfigError(f"{key} {rule}: {shown}",
+                       keys=(key, *(name for name in others if name in _CONFIG_KEYS)))
 
 
 @dataclass(frozen=True)
@@ -231,7 +238,8 @@ def parse_config(text: str) -> ExperimentConfig:
     A line without ``=``, an unknown or repeated key and a value its key's
     type cannot parse are rejected with their line number, and a text
     without ``nodes``, the only required key, as such.  ``ExperimentConfig``
-    checks the values; its error gets the line of the key it names.
+    checks the values; its error gets the line of the first key it names
+    that the text sets.
     """
     values: dict[str, object] = {}
     seen_lines: dict[str, int] = {}
@@ -265,9 +273,10 @@ def parse_config(text: str) -> ExperimentConfig:
         return ExperimentConfig(protocol=ProtocolConfig(**sections["protocol"]),
                                 failure=FailureConfig(**sections["failure"]), **sections["root"])
     except ConfigError as err:
-        if err.key not in seen_lines:
+        line = next((seen_lines[key] for key in err.keys if key in seen_lines), None)
+        if line is None:
             raise
-        raise ConfigError(str(err), seen_lines[err.key], err.key) from None
+        raise ConfigError(str(err), line, err.keys) from None
 
 
 # -- single run ----------------------------------------------------------

@@ -230,8 +230,8 @@ def _make_simple_poller(dc: DataCenter):
     # dead).
     def poll(i, now, _dc=dc, _subs=dc.subs, _alive=dc.alive, _believed=dc.believed,
              _observed=dc.observed, _dead=dc.dead_targets, _full=dc.full_polls,
-             _wl=dc._win_msgs, _bad=dc.bad_count):
-        if now >= _dc.next_boundary:
+             _wl=dc._win_msgs, _bad=dc.bad_count, _w=dc.load_window_s):
+        if now / _w >= _dc.next_window:
             _dc.advance_window(now)
         subs_i = _subs[i]
         if _bad[i]:
@@ -261,8 +261,8 @@ def _make_transitive_poller(dc: DataCenter, staleness_s: float):
 
     def poll(i, now, _dc=dc, _subs=dc.subs, _alive=dc.alive, _believed=dc.believed,
              _observed=dc.observed, _pairs=pairs, _wl=dc._win_msgs, _wp=dc._win_pay,
-             _bad=dc.bad_count, _thr=staleness_s):
-        if now >= _dc.next_boundary:
+             _bad=dc.bad_count, _thr=staleness_s, _w=dc.load_window_s):
+        if now / _w >= _dc.next_window:
             _dc.advance_window(now)
         cut = now - _thr
         subs_i = _subs[i]
@@ -430,11 +430,11 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
 
     def poll(i, now, _dc=dc, _subs=dc.subs, _alive=alive, _believed=dc.believed,
              _observed=dc.observed, _bad=dc.bad_count, _home=home, _wl=wl, _wp=wp,
-             _simple=_make_simple_poller(dc)):
+             _simple=_make_simple_poller(dc), _w=dc.load_window_s):
         subs_i = _subs[i]
         if not subs_i:
             return
-        if now >= _dc.next_boundary:
+        if now / _w >= _dc.next_window:
             _dc.advance_window(now)
         s = _home[i]
         if s == i:

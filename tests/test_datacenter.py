@@ -13,6 +13,7 @@ from hbsim.des import RngStream
 from hbsim.protocols import (
     CENTRAL,
     HIERARCHICAL,
+    PROTOCOL_KINDS,
     SIMPLE_P2P,
     TRANSITIVE_P2P,
     ProtocolConfig,
@@ -261,6 +262,12 @@ SCRIPT_KINDS = [
 ]
 
 
+def poller_for(dc, cfg):
+    """The poller that ``make_poller`` gives ``cfg`` on ``dc``."""
+    return make_poller(dc, cfg, build_global_view(dc.n, cfg)
+                       if cfg.kind in (CENTRAL, HIERARCHICAL) else None)
+
+
 def run_script_against_rescan(dc, stream, steps=200):
     """Random liveness flips, observations, and polls of random alive nodes
     through each of the four pollers on a monotone clock.  After every step
@@ -268,8 +275,7 @@ def run_script_against_rescan(dc, stream, steps=200):
     its row, the derived count a full rescan, and each node's dead targets
     exactly its subscriptions that are down.  dc needs its overlap pairs."""
     n = dc.n
-    pollers = [make_poller(dc, cfg, build_global_view(n, cfg) if cfg.kind in (CENTRAL, HIERARCHICAL)
-                           else None) for cfg in SCRIPT_KINDS]
+    pollers = [poller_for(dc, cfg) for cfg in SCRIPT_KINDS]
     now = 0.0
     for _ in range(steps):
         op = stream.index(4)
@@ -360,14 +366,13 @@ def test_quiet_windows_produce_no_rows():
 def test_a_jump_over_many_windows_flushes_only_the_current_one():
     # 1e12 windows of 1 ps each elapse between the poll and the message
     dc = window_log(1e-12)
-    poll_row(dc, 0, 1e-13)
+    make_poller(dc, ProtocolConfig(kind=SIMPLE_P2P), None)(0, 1e-13)
     dc.message(1, 0, t=1.0)
     win = int(1.0 / 1e-12)
     # window 0 flushed, with the deferred target link of node 0's poll
     assert dc._load_rows == [(0.0, 0, 2, 0), (0.0, 1, 2, 0), (0.0, 2, 2, 0)]
     assert dc.full_polls == [0, 0]
-    assert dc._win == win
-    assert int(dc.next_boundary / 1e-12) == win + 1
+    assert dc.next_window == win + 1
     rows = dc.finish_load(1.0)
     assert rows[3:] == [(win * 1e-12, 0, 1, 0), (win * 1e-12, 1, 1, 0), (win * 1e-12, 2, 1, 0)]
 
@@ -380,7 +385,7 @@ def test_payload_entries_tracked_separately():
     assert dc.total_payload == 4
 
 
-# -- cached window boundary -------------------------------------------------
+# -- window rotation ----------------------------------------------------------
 
 WINDOWS = (1e-3, 0.1, 0.3, 1 / 3, 7.3, 10.0)
 
@@ -401,39 +406,30 @@ def window_and_times(draw):
 
 def window_log(w):
     """A two-node centre, each node subscribed to the other."""
-    return DataCenter([[1], [0]], load_window_s=w)
+    return DataCenter([[1], [0]], load_window_s=w, overlap_pairs=True)
 
 
-def poll_row(dc, i, t):
-    """What a simple poll of node i at time t logs: its request and its
-    target's response on its own link, while the target's link waits in
-    ``full_polls`` for the flush."""
-    if t >= dc.next_boundary:
-        dc.advance_window(t)
-    dc._win_msgs[i] += 2
-    dc.full_polls[i] += 1
-
-
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
 @settings(max_examples=300, deadline=None)
-@given(window_and_times())
-def test_guarded_rotation_matches_rotating_every_time(case):
+@given(case=window_and_times())
+def test_guarded_rotation_matches_rotating_every_time(kind, case):
+    # each poller rotates the log only once its window index test passes;
+    # rotating before every poll must log the same
     w, times = case
     every = window_log(w)
     guarded = window_log(w)
+    poll_every = poller_for(every, ProtocolConfig(kind=kind))
+    poll_guarded = poller_for(guarded, ProtocolConfig(kind=kind))
     for step, t in enumerate(times):
         every.advance_window(t)
-        poll_row(every, step % 2, t)
-        poll_row(guarded, step % 2, t)
-        # the total counts the polls whose target links are still pending
-        assert guarded.total_messages == 2 * (step + 1)
-        # the boundary is the first float of the next window, exactly
-        nb = guarded.next_boundary
-        assert int(nb / w) > guarded._win
-        assert int(math.nextafter(nb, -math.inf) / w) <= guarded._win
-        # the same flushes: the same rows, and the same polls still deferred
-        assert guarded._win == every._win
+        poll_every(step % 2, t)
+        poll_guarded(step % 2, t)
+        # the same flushes: the same rows, and the same open window
+        assert guarded.next_window == every.next_window
         assert guarded._load_rows == every._load_rows
+        assert guarded._win_msgs == every._win_msgs
         assert guarded.full_polls == every.full_polls
+        assert guarded.total_messages == every.total_messages
     end = times[-1] if times else 0.0
     rows = guarded.finish_load(end)
     assert rows == every.finish_load(end)
@@ -443,22 +439,11 @@ def test_guarded_rotation_matches_rotating_every_time(case):
         windows.setdefault(start, {})[comp] = m
     for links in windows.values():
         assert 2 * links.pop(guarded.n) == sum(links.values())
-    assert guarded.total_messages == 2 * len(times)
 
 
-@pytest.mark.parametrize("w", WINDOWS)
-def test_window_boundary_is_the_first_float_of_its_window(w):
-    dc = DataCenter([[1], [0]], load_window_s=w)
-    for win in range(1, 5000):
-        t = dc._first_time_in_window(win)
-        assert int(t / w) >= win
-        assert int(math.nextafter(t, -math.inf) / w) < win
-
-
-def test_window_boundary_past_the_largest_float_is_inf():
+def test_a_window_of_1e308_s_flushes_its_rows():
     dc = DataCenter([[1], [0]], load_window_s=1e308)
-    assert dc.next_boundary == 1e308
     dc.message(0, 1, t=1.0)
     assert dc.finish_load(1.0) == [(0.0, 0, 1, 0), (0.0, 1, 1, 0), (0.0, 2, 1, 0)]
-    # 2e308 overflows, and no finite time divides to window 2
-    assert dc.next_boundary == math.inf
+    # window 1 starts at 1e308; window 2 would start past the largest float
+    assert dc.next_window == 2

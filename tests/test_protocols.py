@@ -679,6 +679,19 @@ def test_one_light_benchmark_round_of_the_desk_sweep_passes(tmp_path):
     assert counts["des.events"] >= counts["experiment.update_polls"] > 0
 
 
+def test_one_traced_benchmark_round_of_the_central_tree_passes(tmp_path):
+    # the trace level wraps the dispatcher, the pollers and DataCenter
+    # methods by name, and reads what they pass; installing it is not enough
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "round.py"), "--workload", "central_tree_1k",
+         "--seed", "42", "--level", "trace", "--workdir", str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    assert report["failed"] == {}
+
+
 def test_the_benchmarks_output_checks_pass_clean_outputs_and_catch_corrupted_ones():
     # perfbench/selftest.py runs every protocol small and checks its CSVs,
     # so a change to the probes or the CSVs that the benchmark's checks
