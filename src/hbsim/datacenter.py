@@ -92,17 +92,19 @@ class DataCenter:
     ``_win_msgs`` and ``_win_pay``, and a whole-row poll of node i adds 1
     to ``full_polls[i]`` instead of its target links; the switch row and
     the run totals are derived from them.  ``next_window`` is the index of
-    the first window that has not opened yet, so a poll rotates the log
-    once ``now / load_window_s >= next_window``: the same division that
-    numbers a message's window, ``int(t / load_window_s)``.  Protocol code
-    in this package mutates the believed/observed rows directly; everything
-    else must go through :meth:`apply_observation` and :meth:`set_liveness`
-    so every ``bad_count`` stays true.  Three readers depend on it:
-    :attr:`inconsistent` is derived from it; the simple poll (also the
-    served kinds' fallback) rebuilds node i's belief row only while
-    ``bad_count[i]`` is nonzero; and the transitive poll of node i reads
-    responder t's belief for a relayed entry only while ``bad_count[i]``
-    or ``bad_count[t]`` is nonzero.
+    the first window that has not opened yet, so the run loop rotates the
+    log before a poll once ``now / load_window_s >= next_window``: the same
+    division that numbers a message's window, ``int(t / load_window_s)``.
+    The pollers only count traffic, into the window that is open.
+
+    Protocol code in this package mutates the believed/observed rows
+    directly; everything else must go through :meth:`apply_observation`
+    and :meth:`set_liveness` so every ``bad_count`` stays true.  Three
+    readers depend on it: :attr:`inconsistent` is derived from it; the
+    simple poll (also the served kinds' fallback) rebuilds node i's belief
+    row only while ``bad_count[i]`` is nonzero; and the transitive poll of
+    node i reads responder t's belief for a relayed entry only while
+    ``bad_count[i]`` or ``bad_count[t]`` is nonzero.
 
     ``subscriptions`` is a list of rows, one per node, so n is its length.
     The rows come from outside, so the constructor checks them: they may
@@ -248,12 +250,14 @@ class DataCenter:
     def advance_window(self, t: float) -> None:
         """Rotate the current window forward so it contains time t.
 
-        A poll calls this only once ``t / load_window_s >= next_window``.
-        For t >= 0 that holds exactly when ``int(t / load_window_s) >=
-        next_window``, since ``int`` floors a non-negative float and a float
-        compares exactly with an int, so the poll's test and this division
-        agree on every rotation.  Only the current window can hold traffic,
-        so it alone is flushed; the windows skipped over would flush no row.
+        The run loop calls this before a poll only once ``t / load_window_s
+        >= next_window``.  For t >= 0 that holds exactly when ``int(t /
+        load_window_s) >= next_window``, since ``int`` floors a non-negative
+        float and a float compares exactly with an int, so the loop's test
+        and this division agree on every rotation.  ``message`` and
+        ``finish_load`` call it unguarded.  Only the current window can
+        hold traffic, so it alone is flushed; the windows skipped over would
+        flush no row.
         """
         w = self.load_window_s
         win = int(t / w)

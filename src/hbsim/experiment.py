@@ -373,6 +373,7 @@ def _simulate(cfg: ExperimentConfig, run_index: int, failure_stream) -> RunOutpu
     alive = dc.alive
     lo = cfg.update_min_s
     hi = cfg.update_max_s
+    window = cfg.load_window_s
     probe_interval = cfg.probe_interval_s
     duration = cfg.duration_s
     fail_cfg = cfg.failure
@@ -389,7 +390,12 @@ def _simulate(cfg: ExperimentConfig, run_index: int, failure_stream) -> RunOutpu
         if kind == "update":
             node = action[1]
             if alive[node]:
-                poll(node, event[0])
+                t = event[0]
+                # a poll counts its traffic into the open window, so the
+                # log rotates first once t has left that window
+                if t / window >= dc.next_window:
+                    dc.advance_window(t)
+                poll(node, t)
                 update_polls += 1
             schedule(lo + (hi - lo) * draw(), action)
         elif kind == "probe":
@@ -399,7 +405,7 @@ def _simulate(cfg: ExperimentConfig, run_index: int, failure_stream) -> RunOutpu
                 schedule(probe_interval, PROBE_ACTION)
         else:
             t = event[0]
-            effect, node = fire_failure(dc, fail_cfg, failure_stream, t)
+            effect, node = fire_failure(dc, fail_cfg, failure_stream)
             failures.append((t, node, effect, dc.inconsistent))
             schedule_next_failure(queue, shape, scale, failure_stream)
 

@@ -80,8 +80,8 @@ class ScriptedFailureStream:
         return pick
 
 
-def fire_failure(dc: DataCenter, cfg: FailureConfig, failure_stream: RngStream,
-                 now: float) -> tuple[str, int]:
+def fire_failure(dc: DataCenter, cfg: FailureConfig,
+                 failure_stream: RngStream) -> tuple[str, int]:
     """Pick a node at random and apply the failure/repair effect.
 
     Returns (effect, node).  Subscriber caches are never touched here;

@@ -193,7 +193,8 @@ def make_poller(dc: DataCenter, cfg: ProtocolConfig, gv: GlobalView | None):
     The returned callable poll(node, now) runs one update cycle of ``node``:
     it refreshes the node's cached entries and adds the traffic to the data
     centre's link counts.  It assumes the node is alive (the event
-    dispatcher checks) and that calls arrive in nondecreasing time.
+    dispatcher checks), that the centre's open window holds ``now`` (the
+    dispatcher rotates it) and that calls arrive in nondecreasing time.
 
     For the central and hierarchical kinds ``gv`` is the layout, whose
     ``home`` and ``routes`` go to the served poller as they are; the poller
@@ -228,11 +229,9 @@ def _make_simple_poller(dc: DataCenter):
     # subscription (request + response) for each count in full_polls, and
     # one is taken off here per currently-dead target (no response from the
     # dead).
-    def poll(i, now, _dc=dc, _subs=dc.subs, _alive=dc.alive, _believed=dc.believed,
+    def poll(i, now, _subs=dc.subs, _alive=dc.alive, _believed=dc.believed,
              _observed=dc.observed, _dead=dc.dead_targets, _full=dc.full_polls,
-             _wl=dc._win_msgs, _bad=dc.bad_count, _w=dc.load_window_s):
-        if now / _w >= _dc.next_window:
-            _dc.advance_window(now)
+             _wl=dc._win_msgs, _bad=dc.bad_count):
         subs_i = _subs[i]
         if _bad[i]:
             # a row with no wrong entry already holds every target's truth,
@@ -259,11 +258,9 @@ def _make_transitive_poller(dc: DataCenter, staleness_s: float):
     if pairs is None:
         raise ValueError("a transitive poller needs a centre built with overlap_pairs=True")
 
-    def poll(i, now, _dc=dc, _subs=dc.subs, _alive=dc.alive, _believed=dc.believed,
+    def poll(i, now, _subs=dc.subs, _alive=dc.alive, _believed=dc.believed,
              _observed=dc.observed, _pairs=pairs, _wl=dc._win_msgs, _wp=dc._win_pay,
-             _bad=dc.bad_count, _thr=staleness_s, _w=dc.load_window_s):
-        if now / _w >= _dc.next_window:
-            _dc.advance_window(now)
+             _bad=dc.bad_count, _thr=staleness_s):
         cut = now - _thr
         subs_i = _subs[i]
         bel_i = _believed[i]
@@ -428,14 +425,12 @@ def _make_served_poller(dc: DataCenter, cfg: ProtocolConfig, home: list[int],
         wl[s] += m
         wp[s] += pay
 
-    def poll(i, now, _dc=dc, _subs=dc.subs, _alive=alive, _believed=dc.believed,
+    def poll(i, now, _subs=dc.subs, _alive=alive, _believed=dc.believed,
              _observed=dc.observed, _bad=dc.bad_count, _home=home, _wl=wl, _wp=wp,
-             _simple=_make_simple_poller(dc), _w=dc.load_window_s):
+             _simple=_make_simple_poller(dc)):
         subs_i = _subs[i]
         if not subs_i:
             return
-        if now / _w >= _dc.next_window:
-            _dc.advance_window(now)
         s = _home[i]
         if s == i:
             serve(s, subs_i, now, serve)  # local: no cap, no network hop

@@ -1,19 +1,15 @@
 import gc
-import math
 import random
 import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hbsim.datacenter import DataCenter, NotSubscribedError, build_datacenter, build_overlap_pairs
 from hbsim.des import RngStream
 from hbsim.protocols import (
     CENTRAL,
     HIERARCHICAL,
-    PROTOCOL_KINDS,
     SIMPLE_P2P,
     TRANSITIVE_P2P,
     ProtocolConfig,
@@ -263,9 +259,16 @@ SCRIPT_KINDS = [
 
 
 def poller_for(dc, cfg):
-    """The poller that ``make_poller`` gives ``cfg`` on ``dc``."""
-    return make_poller(dc, cfg, build_global_view(dc.n, cfg)
+    """The poller that ``make_poller`` gives ``cfg`` on ``dc``, driven as the
+    run loop drives it: the centre's log rotates to ``now`` first."""
+    fast = make_poller(dc, cfg, build_global_view(dc.n, cfg)
                        if cfg.kind in (CENTRAL, HIERARCHICAL) else None)
+
+    def poll(i, now):
+        dc.advance_window(now)
+        fast(i, now)
+
+    return poll
 
 
 def run_script_against_rescan(dc, stream, steps=200):
@@ -387,58 +390,9 @@ def test_payload_entries_tracked_separately():
 
 # -- window rotation ----------------------------------------------------------
 
-WINDOWS = (1e-3, 0.1, 0.3, 1 / 3, 7.3, 10.0)
-
-
-@st.composite
-def window_and_times(draw):
-    """A window width and nondecreasing times that hit its boundaries: exact
-    ``k*w`` products, the floats next to them, and arbitrary times between."""
-    w = draw(st.sampled_from(WINDOWS) | st.floats(1e-3, 100.0))
-    k = st.integers(0, 20)  # few windows, so boundaries repeat often
-    exact = st.builds(lambda k: k * w, k)
-    below = st.builds(lambda k: math.nextafter(k * w, -math.inf), k)
-    above = st.builds(lambda k: math.nextafter(k * w, math.inf), k)
-    anywhere = st.floats(0.0, 20 * w)
-    times = draw(st.lists(exact | below | above | anywhere, max_size=80))
-    return w, sorted(max(t, 0.0) for t in times)
-
-
 def window_log(w):
     """A two-node centre, each node subscribed to the other."""
     return DataCenter([[1], [0]], load_window_s=w, overlap_pairs=True)
-
-
-@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
-@settings(max_examples=300, deadline=None)
-@given(case=window_and_times())
-def test_guarded_rotation_matches_rotating_every_time(kind, case):
-    # each poller rotates the log only once its window index test passes;
-    # rotating before every poll must log the same
-    w, times = case
-    every = window_log(w)
-    guarded = window_log(w)
-    poll_every = poller_for(every, ProtocolConfig(kind=kind))
-    poll_guarded = poller_for(guarded, ProtocolConfig(kind=kind))
-    for step, t in enumerate(times):
-        every.advance_window(t)
-        poll_every(step % 2, t)
-        poll_guarded(step % 2, t)
-        # the same flushes: the same rows, and the same open window
-        assert guarded.next_window == every.next_window
-        assert guarded._load_rows == every._load_rows
-        assert guarded._win_msgs == every._win_msgs
-        assert guarded.full_polls == every.full_polls
-        assert guarded.total_messages == every.total_messages
-    end = times[-1] if times else 0.0
-    rows = guarded.finish_load(end)
-    assert rows == every.finish_load(end)
-    # every flushed switch row is half its window's link rows
-    windows = {}
-    for start, comp, m, _ in rows:
-        windows.setdefault(start, {})[comp] = m
-    for links in windows.values():
-        assert 2 * links.pop(guarded.n) == sum(links.values())
 
 
 def test_a_window_of_1e308_s_flushes_its_rows():

@@ -56,7 +56,7 @@ def test_each_failure_schedules_exactly_one_successor():
 
     def dispatch(event):
         fired[0] += 1
-        fire_failure(dc, cfg, stream, q.now)
+        fire_failure(dc, cfg, stream)
         schedule_next_failure(q, 2.0, 3.0, stream)
 
     q.run(200.0, dispatch)
@@ -67,7 +67,7 @@ def test_each_failure_schedules_exactly_one_successor():
 def test_alive_pick_fails_node_and_leaves_caches_alone():
     dc = build_datacenter(10, 3, RngStream("topology", 2))
     stream = ScriptedFailureStream([], picks=[4])
-    effect, node = fire_failure(dc, FailureConfig(), stream, now=7.0)
+    effect, node = fire_failure(dc, FailureConfig(), stream)
     assert (effect, node) == (EFFECT_FAILED, 4)
     assert dc.alive[4] is False
     for observer in dc.subscribers[4]:
@@ -79,7 +79,7 @@ def test_alive_pick_fails_node_and_leaves_caches_alone():
 def test_dead_pick_with_toggle_repair_revives():
     dc = build_datacenter(10, 3, RngStream("topology", 2))
     dc.set_liveness(4, False)
-    effect, node = fire_failure(dc, FailureConfig(), ScriptedFailureStream([], [4]), now=8.0)
+    effect, node = fire_failure(dc, FailureConfig(), ScriptedFailureStream([], [4]))
     assert (effect, node) == (EFFECT_REPAIRED, 4)
     assert dc.alive[4] is True
 
@@ -88,7 +88,7 @@ def test_dead_pick_with_no_repair_stays_dead():
     dc = build_datacenter(10, 3, RngStream("topology", 2))
     dc.set_liveness(4, False)
     cfg = FailureConfig(repair_policy=NO_REPAIR)
-    effect, node = fire_failure(dc, cfg, ScriptedFailureStream([], [4]), now=8.0)
+    effect, node = fire_failure(dc, cfg, ScriptedFailureStream([], [4]))
     assert (effect, node) == (EFFECT_NO_OP, 4)
     assert dc.alive[4] is False
 
@@ -99,7 +99,7 @@ def test_toggle_repair_liveness_is_pick_parity():
     cfg = FailureConfig()
     picks = []
     for _ in range(500):
-        _, node = fire_failure(dc, cfg, stream, now=1.0)
+        _, node = fire_failure(dc, cfg, stream)
         picks.append(node)
     for i in range(20):
         assert dc.alive[i] == (picks.count(i) % 2 == 0)
@@ -111,7 +111,7 @@ def test_no_repair_dead_set_grows_monotonically():
     cfg = FailureConfig(repair_policy=NO_REPAIR)
     dead_before: set[int] = set()
     for _ in range(300):
-        fire_failure(dc, cfg, stream, now=1.0)
+        fire_failure(dc, cfg, stream)
         dead_now = {i for i in range(20) if not dc.alive[i]}
         assert dead_before <= dead_now
         dead_before = dead_now

@@ -44,9 +44,17 @@ def slot_map(dc):
 
 def poller_for(dc, cfg):
     """make_poller's poller for cfg on dc, with a fresh global view for the
-    central and hierarchical kinds."""
+    central and hierarchical kinds, driven as the run loop drives it: the
+    centre's log rotates to ``now`` first.  Rotating before every poll logs
+    the same as the loop's guarded rotation."""
     gv = build_global_view(dc.n, cfg) if cfg.kind in (CENTRAL, HIERARCHICAL) else None
-    return make_poller(dc, cfg, gv)
+    fast = make_poller(dc, cfg, gv)
+
+    def poll(i, now):
+        dc.advance_window(now)
+        fast(i, now)
+
+    return poll
 
 
 # -- direct polling --------------------------------------------------------
@@ -690,6 +698,9 @@ def test_one_traced_benchmark_round_of_the_central_tree_passes(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads(proc.stdout)
     assert report["failed"] == {}
+    # 2 cells, each with 1 rotation at t=10 s and 1 finish_load: the run
+    # loop rotates only when a window ends, never on every poll
+    assert report["layers"]["datacenter.advance_window_calls"] == 4
 
 
 def test_the_benchmarks_output_checks_pass_clean_outputs_and_catch_corrupted_ones():
