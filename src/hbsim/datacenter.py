@@ -92,10 +92,11 @@ class DataCenter:
     ``_win_msgs`` and ``_win_pay``, and a whole-row poll of node i adds 1
     to ``full_polls[i]`` instead of its target links; the switch row and
     the run totals are derived from them.  ``next_window`` is the index of
-    the first window that has not opened yet, so the run loop rotates the
-    log before a poll once ``now / load_window_s >= next_window``: the same
-    division that numbers a message's window, ``int(t / load_window_s)``.
-    The pollers only count traffic, into the window that is open.
+    the first window that has not opened yet.  The run loop tests ``now /
+    load_window_s >= next_window`` before a poll and, once it holds, hands
+    :meth:`advance_window` the index ``int(now / load_window_s)``: the same
+    division that numbers a message's window.  The pollers only count
+    traffic, into the window that is open.
 
     Protocol code in this package mutates the believed/observed rows
     directly; everything else must go through :meth:`apply_observation`
@@ -247,20 +248,19 @@ class DataCenter:
 
     # -- load log -------------------------------------------------------
 
-    def advance_window(self, t: float) -> None:
-        """Rotate the current window forward so it contains time t.
+    def advance_window(self, win: int) -> None:
+        """Flush the open window and open window ``win``, an index such as
+        ``int(t / load_window_s)``, unless ``win`` has opened already.
 
-        The run loop calls this before a poll only once ``t / load_window_s
-        >= next_window``.  For t >= 0 that holds exactly when ``int(t /
+        The run loop computes the index only once ``t / load_window_s >=
+        next_window``.  For t >= 0 that holds exactly when ``int(t /
         load_window_s) >= next_window``, since ``int`` floors a non-negative
-        float and a float compares exactly with an int, so the loop's test
-        and this division agree on every rotation.  ``message`` and
-        ``finish_load`` call it unguarded.  Only the current window can
-        hold traffic, so it alone is flushed; the windows skipped over would
-        flush no row.
+        float and a float compares exactly with an int, so every index the
+        loop passes rotates the log.  ``message`` passes its message's index
+        unguarded, and ``finish_load`` passes ``next_window``.  Only the open
+        window can hold traffic, so it alone is flushed, its rows labelled
+        with its start; the windows skipped over would flush no row.
         """
-        w = self.load_window_s
-        win = int(t / w)
         if win < self.next_window:
             return
         n = self.n
@@ -276,7 +276,7 @@ class DataCenter:
             full[i] = 0
         msgs[n] = sum(msgs) // 2  # two links per message; msgs[n] was 0
         pay[n] = sum(pay) // 2
-        start = (self.next_window - 1) * w
+        start = (self.next_window - 1) * self.load_window_s
         rows = self._load_rows
         # compress() skips the quiet components in C
         for comp in compress(range(n + 1), msgs):
@@ -296,7 +296,7 @@ class DataCenter:
         """
         if sender == receiver:
             return
-        self.advance_window(t)
+        self.advance_window(int(t / self.load_window_s))
         msgs = self._win_msgs
         msgs[sender] += 1
         msgs[receiver] += 1
@@ -305,10 +305,13 @@ class DataCenter:
             pay[sender] += payload_entries
             pay[receiver] += payload_entries
 
-    def finish_load(self, end_time: float) -> list[tuple[float, int, int, int]]:
-        """Flush any open window and return all (window_start, component,
-        messages, payload_entries) rows in chronological component order."""
-        self.advance_window(end_time + self.load_window_s)
+    def finish_load(self) -> list[tuple[float, int, int, int]]:
+        """Flush the open window and return all (window_start, component,
+        messages, payload_entries) rows in chronological component order.
+
+        The open window is ``next_window - 1``, so opening ``next_window``
+        always flushes it, whatever the run's end time."""
+        self.advance_window(self.next_window)
         return self._load_rows
 
 

@@ -188,10 +188,10 @@ class ExperimentConfig:
             if duration + getattr(self, name) == duration:
                 raise _rejected("is too small to advance the clock at duration_s",
                                 **{name: getattr(self, name)}, duration_s=duration)
-        # the last flush numbers the window after duration_s; that index
-        # must be a finite number
+        # the run loop and the message path number a window by t / window
+        # for t up to duration_s; that index must be a finite number
         window = self.load_window_s
-        if not (duration + window) / window < math.inf:
+        if not duration / window < math.inf:
             raise _rejected("is too small: the window index at duration_s is not finite",
                             load_window_s=window, duration_s=duration)
         rate, shape = failure.rate_pct_per_min, failure.gamma_shape
@@ -394,7 +394,7 @@ def _simulate(cfg: ExperimentConfig, run_index: int, failure_stream) -> RunOutpu
                 # a poll counts its traffic into the open window, so the
                 # log rotates first once t has left that window
                 if t / window >= dc.next_window:
-                    dc.advance_window(t)
+                    dc.advance_window(int(t / window))
                 poll(node, t)
                 update_polls += 1
             schedule(lo + (hi - lo) * draw(), action)
@@ -410,7 +410,7 @@ def _simulate(cfg: ExperimentConfig, run_index: int, failure_stream) -> RunOutpu
             schedule_next_failure(queue, shape, scale, failure_stream)
 
     queue.run(duration, dispatch)
-    load = dc.finish_load(duration)
+    load = dc.finish_load()
 
     summary = RunSummary(
         mean_inconsistent=sum(count for _, count in probes) / len(probes),
@@ -443,11 +443,8 @@ def ci95_halfwidth(samples) -> float:
         raise ValueError("confidence interval needs at least 2 samples")
     import statistics  # imported here: only configs of 2 runs or more get here
 
-    sd = statistics.stdev(samples)
-    if sd == 0.0:
-        return 0.0
     t = T_QUANTILE_975.get(m - 1, 1.96)
-    return t * sd / math.sqrt(m)
+    return t * statistics.stdev(samples) / math.sqrt(m)
 
 
 @dataclass

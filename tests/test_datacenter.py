@@ -4,6 +4,8 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hbsim.datacenter import DataCenter, NotSubscribedError, build_datacenter, build_overlap_pairs
 from hbsim.des import RngStream
@@ -260,12 +262,13 @@ SCRIPT_KINDS = [
 
 def poller_for(dc, cfg):
     """The poller that ``make_poller`` gives ``cfg`` on ``dc``, driven as the
-    run loop drives it: the centre's log rotates to ``now`` first."""
+    run loop drives it: the centre's log rotates to the window of ``now``
+    first."""
     fast = make_poller(dc, cfg, build_global_view(dc.n, cfg)
                        if cfg.kind in (CENTRAL, HIERARCHICAL) else None)
 
     def poll(i, now):
-        dc.advance_window(now)
+        dc.advance_window(int(now / dc.load_window_s))
         fast(i, now)
 
     return poll
@@ -332,7 +335,7 @@ def test_incremental_count_matches_rescan_on_hand_built_centres(rows):
 def test_one_message_touches_three_components():
     dc = DataCenter([[1], [0]], load_window_s=10.0)
     dc.message(0, 1, t=3.0)
-    rows = dc.finish_load(3.0)
+    rows = dc.finish_load()
     assert rows == [(0.0, 0, 1, 0), (0.0, 1, 1, 0), (0.0, 2, 1, 0)]
     assert dc.total_messages == 1
 
@@ -342,7 +345,7 @@ def test_alive_poll_costs_two_messages_dead_poll_one():
     dc.set_liveness(2, False)
     make_poller(dc, ProtocolConfig(kind=SIMPLE_P2P), None)(0, 1.0)
     assert dc.total_messages == 3           # alive: request + response; dead: request
-    rows = dict(((c, (m, p)) for _, c, m, p in dc.finish_load(1.0)))
+    rows = dict(((c, (m, p)) for _, c, m, p in dc.finish_load()))
     assert rows[0] == (3, 0)   # requester: two requests out, one response in
     assert rows[1] == (2, 0)   # alive target: request in, response out
     assert rows[2] == (1, 0)   # dead target: request in only
@@ -354,7 +357,7 @@ def test_window_boundaries_partition_accesses():
     dc.message(0, 1, t=9.9)
     dc.message(0, 1, t=10.1)
     dc.message(1, 0, t=10.1)
-    rows = dc.finish_load(10.1)
+    rows = dc.finish_load()
     assert rows == [(0.0, 0, 1, 0), (0.0, 1, 1, 0), (0.0, 2, 1, 0),
                     (10.0, 0, 2, 0), (10.0, 1, 2, 0), (10.0, 2, 2, 0)]
 
@@ -362,7 +365,7 @@ def test_window_boundaries_partition_accesses():
 def test_quiet_windows_produce_no_rows():
     dc = DataCenter([[1], [0]], load_window_s=5.0)
     dc.message(1, 0, t=17.0)
-    rows = dc.finish_load(17.0)
+    rows = dc.finish_load()
     assert rows == [(15.0, 0, 1, 0), (15.0, 1, 1, 0), (15.0, 2, 1, 0)]
 
 
@@ -376,14 +379,29 @@ def test_a_jump_over_many_windows_flushes_only_the_current_one():
     assert dc._load_rows == [(0.0, 0, 2, 0), (0.0, 1, 2, 0), (0.0, 2, 2, 0)]
     assert dc.full_polls == [0, 0]
     assert dc.next_window == win + 1
-    rows = dc.finish_load(1.0)
+    rows = dc.finish_load()
     assert rows[3:] == [(win * 1e-12, 0, 1, 0), (win * 1e-12, 1, 1, 0), (win * 1e-12, 2, 1, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**7), st.floats(1e-6, 1e6))
+@example(40, 0.1)          # end 4.0
+@example(60, 0.05)         # end 3.0
+@example(619870, 1.1)      # end 681857.0
+def test_finish_load_flushes_the_window_open_at_the_end(m, w):
+    # in the examples, (end + w) / w rounds down to the open window's own
+    # index m, so an index made from a time past the end would flush nothing
+    end = m * w
+    dc = DataCenter([[1], [0]], load_window_s=w)
+    dc.message(0, 1, t=end)
+    start = int(end / w) * w
+    assert dc.finish_load() == [(start, 0, 1, 0), (start, 1, 1, 0), (start, 2, 1, 0)]
 
 
 def test_payload_entries_tracked_separately():
     dc = DataCenter([[1], [0]], load_window_s=10.0)
     dc.message(1, 0, t=1.0, payload_entries=4)
-    rows = dc.finish_load(1.0)
+    rows = dc.finish_load()
     assert rows == [(0.0, 0, 1, 4), (0.0, 1, 1, 4), (0.0, 2, 1, 4)]
     assert dc.total_payload == 4
 
@@ -398,6 +416,6 @@ def window_log(w):
 def test_a_window_of_1e308_s_flushes_its_rows():
     dc = DataCenter([[1], [0]], load_window_s=1e308)
     dc.message(0, 1, t=1.0)
-    assert dc.finish_load(1.0) == [(0.0, 0, 1, 0), (0.0, 1, 1, 0), (0.0, 2, 1, 0)]
+    assert dc.finish_load() == [(0.0, 0, 1, 0), (0.0, 1, 1, 0), (0.0, 2, 1, 0)]
     # window 1 starts at 1e308; window 2 would start past the largest float
     assert dc.next_window == 2

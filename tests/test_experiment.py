@@ -635,22 +635,28 @@ def test_a_tiny_load_window_runs_at_once_and_matches_the_oracle(kind):
     assert (switch, links) == (total, 2 * total)
 
 
-@pytest.mark.parametrize("window", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("window", [0.1, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
 def test_polls_on_window_boundaries_match_the_oracle(kind, window):
     # every update gap is exactly 0.25 s, so every node polls at each
     # multiple of 0.25 s and every window opens with a burst of polls at
     # its exact start: the run loop's window guard, not the message path,
     # rotates the log there; the cap of 3 sends some served requesters to
-    # the simple-poll fallback
+    # the simple-poll fallback.  The polls at the end, 12.0 s, fall in the
+    # last window, and a 0.25 s staleness has every kind send there; at
+    # the 0.1 s window, (12.0 + 0.1) / 0.1 rounds down to that window's own
+    # index, so only a close by index flushes it
     cfg = ExperimentConfig(nodes=12, subscriptions=3, duration_s=12.0, runs=1, seed=5,
                            update_min_s=0.25, update_max_s=0.25, load_window_s=window,
-                           protocol=ProtocolConfig(kind=kind, max_requests_per_s=3),
+                           protocol=ProtocolConfig(kind=kind, staleness_s=0.25,
+                                                   max_requests_per_s=3),
                            failure=FailureConfig(rate_pct_per_min=60.0))
     engine = run_one(cfg, 0)
     oracle = reference_run(cfg, 0)
     assert engine.probes == oracle.probes
     assert engine.load == oracle.load_rows()
+    switch = sum(m for _, comp, m, _ in engine.load if comp == cfg.nodes)
+    assert switch == engine.summary.total_messages
     # every flushed switch row is half its window's link rows
     windows = {}
     for start, comp, m, _ in engine.load:

@@ -45,13 +45,13 @@ def slot_map(dc):
 def poller_for(dc, cfg):
     """make_poller's poller for cfg on dc, with a fresh global view for the
     central and hierarchical kinds, driven as the run loop drives it: the
-    centre's log rotates to ``now`` first.  Rotating before every poll logs
+    centre's log rotates to the window of ``now`` first.  Rotating before every poll logs
     the same as the loop's guarded rotation."""
     gv = build_global_view(dc.n, cfg) if cfg.kind in (CENTRAL, HIERARCHICAL) else None
     fast = make_poller(dc, cfg, gv)
 
     def poll(i, now):
-        dc.advance_window(now)
+        dc.advance_window(int(now / dc.load_window_s))
         fast(i, now)
 
     return poll
@@ -112,7 +112,7 @@ def test_a_simple_and_a_served_poller_defer_on_one_centre(kind):
     served(1, 1.5)
     simple(2, 1.5)
     totals.append((dc.total_messages, dc.total_payload))
-    rows = dc.finish_load(1.5)
+    rows = dc.finish_load()
     # 2 messages per alive target of each poll, 1 per dead one, and node 1's
     # unanswered request to its server
     assert rows[:4] == [(0.0, 0, 3, 0), (0.0, 1, 6, 0), (0.0, 2, 5, 0), (0.0, dc.n, 7, 0)]
@@ -383,7 +383,7 @@ def test_hierarchical_sibling_subtree_routes_through_root():
     assert dc.total_messages == 6
     assert dc.believed[1] == [True]
     assert dc.observed[1] == [2.0]
-    rows = {c: m for _, c, m, _ in dc.finish_load(2.0)}
+    rows = {c: m for _, c, m, _ in dc.finish_load()}
     assert rows[dc.n] == 6  # the switch
     # cached at agg6 on the way back: node 8's request is answered there
     poll(8, 2.5)
@@ -478,8 +478,8 @@ def test_central_requester_link_cheaper_than_simple_per_cycle():
     dc_central = DataCenter([list(r) for r in dc_simple.subs])
     poller_for(dc_simple, SIMPLE)(9, 2.0)
     poller_for(dc_central, ProtocolConfig(kind=CENTRAL))(9, 2.0)
-    simple_link = {c: m for _, c, m, _ in dc_simple.finish_load(2.0)}[9]
-    central_link = {c: m for _, c, m, _ in dc_central.finish_load(2.0)}[9]
+    simple_link = {c: m for _, c, m, _ in dc_simple.finish_load()}[9]
+    central_link = {c: m for _, c, m, _ in dc_central.finish_load()}[9]
     assert central_link <= simple_link
     assert central_link == 2
 
@@ -539,7 +539,7 @@ def assert_poller_matches_oracle(subs, cfg, steps, seed):
         assert dc.inconsistent == oracle.scan_inconsistent()
         assert dc.total_messages == oracle.messages
         assert dc.total_payload == oracle.payload
-    assert dc.finish_load(now) == oracle.load_rows()
+    assert dc.finish_load() == oracle.load_rows()
 
 
 # a cap of 2 requests per second makes servers refuse, so requesters fall back
